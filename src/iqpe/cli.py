@@ -1,10 +1,11 @@
 """Command-line surface: every pipeline as a reproducible run.
 
-Each subcommand writes its CSV/JSON artifacts plus a run manifest with
-SHA-256 checksums into the output directory.  Runs are deterministic given
-(subcommand, config, seed): stochastic subcommands require an explicit seed
-and no artifact embeds wall-clock state.  All files are written atomically
-(temp file in the target directory, then rename).
+Each subcommand writes its CSV/JSON artifacts plus a run manifest with the
+SHA-256 checksums of exactly those artifacts into the output directory.
+Runs are deterministic given (subcommand, config, seed): stochastic
+subcommands require an explicit seed and no artifact embeds wall-clock
+state.  All files are written atomically (temp file in the target
+directory, then rename).
 
 Angles are accepted in degrees on the command line; every file artifact
 stores radians.
@@ -51,55 +52,63 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+@dataclasses.dataclass
+class _OutDir:
+    """An output directory and the checksums of the artifacts this run wrote."""
+
+    path: Path
+    checksums: dict = dataclasses.field(default_factory=dict)
+
+
+def _put(out: _OutDir, name: str, data: bytes) -> None:
+    _atomic_write(out.path / name, data)
+    out.checksums[name] = f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
 def _schema(name: str) -> dict:
     ref = resources.files("iqpe.schemas").joinpath(name)
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _write_json(out_dir: Path, name: str, payload: dict, schema_name: str) -> None:
+def _write_json(out: _OutDir, name: str, payload: dict, schema_name: str) -> None:
     jsonschema.validate(payload, _schema(schema_name))
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _atomic_write(out_dir / name, text.encode("ascii"))
+    _put(out, name, text.encode("ascii"))
 
 
-def _write_csv(out_dir: Path, name: str, header: str, columns) -> None:
+def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
     lines = [header]
     for row in zip(*columns):
         lines.append(",".join(f"{float(v):.17g}" for v in row))
-    _atomic_write(out_dir / name, ("\n".join(lines) + "\n").encode("ascii"))
+    _put(out, name, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _write_manifest(
-    out_dir: Path,
+    out: _OutDir,
     subcommand: str,
     config_path: Optional[str],
     seed: Optional[int],
     parameters: dict,
 ) -> None:
-    checksums = {}
-    for path in sorted(out_dir.iterdir()):
-        if path.name == "manifest.json" or not path.is_file():
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        checksums[path.name] = f"sha256:{digest}"
+    """Run parameters plus the checksums of exactly the files this run wrote."""
     payload = {
         "subcommand": subcommand,
         "config_path": config_path,
         "seed": seed,
         "parameters": parameters,
-        "output_dir": str(out_dir),
-        "artifact_checksums": checksums,
+        "output_dir": str(out.path),
+        "artifact_checksums": out.checksums,
     }
-    _write_json(out_dir, "manifest.json", payload, "manifest.v1.json")
+    _write_json(out, "manifest.json", payload, "manifest.v1.json")
 
 
-def _prepare_out(raw: str) -> Path:
+def _prepare_out(raw: str) -> _OutDir:
     out_dir = Path(raw)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {raw!r}: {exc}") from None
-    return out_dir
+    return _OutDir(out_dir)
 
 
 def _cmd_qfi_map(args) -> None:
@@ -110,15 +119,11 @@ def _cmd_qfi_map(args) -> None:
         if args.order_n is None:
             raise ConfigError("--order-n is required for the rotation scenario")
         rows = scenarios.rotation_qfi_map(args.order_n, args.resolution)
-    sqpe = [row.qfi_sqpe for row in rows]
-    iqpe_vals = [row.qfi_iqpe for row in rows]
+    theta, phi, sqpe, iqpe_vals = zip(*rows)
     dead = [row for row in rows if row.qfi_sqpe < DEAD_ZONE_THRESHOLD]
-    csv_lines = ["theta,phi,qfi_sqpe,qfi_iqpe"]
-    for row in rows:
-        csv_lines.append(
-            f"{row.theta:.17g},{row.phi:.17g},{row.qfi_sqpe:.17g},{row.qfi_iqpe:.17g}"
-        )
-    _atomic_write(out_dir / "map.csv", ("\n".join(csv_lines) + "\n").encode("ascii"))
+    _write_csv(
+        out_dir, "map.csv", "theta,phi,qfi_sqpe,qfi_iqpe", (theta, phi, sqpe, iqpe_vals)
+    )
     summary = {
         "scenario": args.scenario,
         "order_n": args.order_n,
@@ -197,7 +202,7 @@ def _cmd_rotation_sim(args) -> None:
     )
 
 
-def _experiment_artifacts(out_dir: Path, run: emulator.ChannelRun) -> None:
+def _experiment_artifacts(out_dir: _OutDir, run: emulator.ChannelRun) -> None:
     t = run.record.times()
     _write_csv(
         out_dir, f"record_l{run.l}.csv", "t,ch1,ch2", (t, run.record.ch1, run.record.ch2)

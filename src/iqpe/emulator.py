@@ -25,8 +25,6 @@ from importlib import resources
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
-from scipy.constants import h as _PLANCK
 
 from .protocol import trial_rng
 from .statekit import ContractViolation
@@ -51,6 +49,10 @@ __all__ = [
     "run_spectrum_pipeline",
     "make_alpha_signal",
 ]
+
+# Exact SI values (2019 redefinition): Planck constant and speed of light.
+_PLANCK = 6.62607015e-34
+_SPEED_OF_LIGHT = 299792458.0
 
 WAVELENGTH_M = 780e-9
 PHOTON_ENERGY_J = _PLANCK * _SPEED_OF_LIGHT / WAVELENGTH_M

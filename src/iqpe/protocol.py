@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scenarios import modal_ladder
-from .statekit import ContractViolation, PureState, UnitaryMatrix, tensor
+from .statekit import ContractViolation, UnitaryMatrix
 
 __all__ = [
     "RotationProtocol",
@@ -103,41 +103,14 @@ def indefinite_rotation_unitary(proto: RotationProtocol, alpha: float) -> Unitar
     return UnitaryMatrix(joint)
 
 
-def _probabilities_state_route(proto: RotationProtocol, alpha: float) -> tuple[float, float]:
-    """pL, pR from explicit joint-state evolution and projection."""
-    ladder = _cached_ladder(proto.oam_l)
-    meter = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0), "HV")
-    probe = ladder.basis_state(proto.oam_l)
-    joint = tensor(meter, probe)
-    evolved = indefinite_rotation_unitary(proto, alpha).entries @ joint.amplitudes
-    # systematic phase offset on the |V> branch
-    evolved[ladder.dim :] *= np.exp(1j * proto.delta_phi)
-    h_branch = evolved[: ladder.dim]
-    v_branch = evolved[ladder.dim :]
-    # <L| = (<H| - 1j <V|)/sqrt(2), applied on the meter only
-    l_component = (h_branch - 1j * v_branch) / math.sqrt(2.0)
-    r_component = (h_branch + 1j * v_branch) / math.sqrt(2.0)
-    p_l = float(np.sum(np.abs(l_component) ** 2))
-    p_r = float(np.sum(np.abs(r_component) ** 2))
-    return p_l, p_r
-
-
 def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[float, float]:
     """Click probabilities (pL, pR) of the circular-basis measurement.
 
-    pL = [1 + sin(2*l*alpha + delta_phi)] / 2 and pR = 1 - pL; the closed
-    form is cross-checked against explicit state projection within 1e-12.
+    pL = [1 + sin(2*l*alpha + delta_phi)] / 2 and pR = 1 - pL.
     """
     total_phase = 2.0 * proto.oam_l * alpha + proto.delta_phi
     p_l = 0.5 * (1.0 + math.sin(total_phase))
-    p_r = 1.0 - p_l
-    p_l_state, p_r_state = _probabilities_state_route(proto, alpha)
-    if abs(p_l - p_l_state) > 1e-12 or abs(p_r - p_r_state) > 1e-12:
-        raise ContractViolation(
-            f"closed-form probabilities ({p_l}, {p_r}) disagree with the "
-            f"state route ({p_l_state}, {p_r_state})"
-        )
-    return p_l, p_r
+    return p_l, 1.0 - p_l
 
 
 def cfi(proto: RotationProtocol, alpha: float) -> float:

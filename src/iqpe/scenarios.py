@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 from scipy.special import eval_genlaguerre, gammaln
 
 from .qfi import ParameterizedDynamics, iqpe_qfi, sqpe_qfi
@@ -54,7 +53,6 @@ __all__ = [
     "lg_field",
     "field_rotation_check",
     "sphere_grid",
-    "write_sphere_map_csv",
     "save_lg_field",
     "load_lg_field",
 ]
@@ -397,6 +395,8 @@ def rotate_field(field: LgFieldSample, alpha: float) -> np.ndarray:
     The rotated field samples the original at azimuth (phi - alpha); points
     resampled from outside the grid are zero-padded.
     """
+    from scipy import ndimage  # imported here: its only user, and slow to import
+
     n = field.grid_n
     center = (n - 1) / 2.0
     step = 2.0 * field.extent / (n - 1)
@@ -423,17 +423,6 @@ def field_rotation_check(field: LgFieldSample, alpha: float) -> complex:
         raise ContractViolation("rotation check requires a pure p=0 LG field")
     rotated = rotate_field(field, alpha)
     return complex(np.sum(rotated.conj() * field.grid) * field.cell_area())
-
-
-def write_sphere_map_csv(rows: list[SphereMapRow], path) -> None:
-    """CSV with header theta,phi,qfi_sqpe,qfi_iqpe (radians, engine units)."""
-    lines = ["theta,phi,qfi_sqpe,qfi_iqpe"]
-    for row in rows:
-        lines.append(
-            f"{row.theta:.17g},{row.phi:.17g},{row.qfi_sqpe:.17g},{row.qfi_iqpe:.17g}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 _LG_MAGIC = "lgfield v1"

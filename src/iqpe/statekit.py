@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import (
-    EXPECTATION_IMAG_TOL,
-    SPECTRAL_TOL,
-    STRUCTURAL_TOL,
-    UNITARY_TOL,
-    VARIANCE_CLAMP_TOL,
-)
+from .tolerances import EXPECTATION_IMAG_TOL, SPECTRAL_TOL, STRUCTURAL_TOL, UNITARY_TOL
 
 __all__ = [
     "ContractViolation",
@@ -113,10 +107,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __matmul__(self, other: "HermitianOperator") -> np.ndarray:
-        # Product of Hermitians is generally not Hermitian; return raw array.
-        return self.entries @ other.entries
-
     def squared(self) -> "HermitianOperator":
         sq = self.entries @ self.entries
         # Symmetrize away roundoff so the constructor's invariant holds.
@@ -149,9 +139,6 @@ class UnitaryMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.entries.conj().T)
-
     @staticmethod
     def identity(dim: int) -> "UnitaryMatrix":
         return UnitaryMatrix(np.eye(dim, dtype=np.complex128))
@@ -181,18 +168,22 @@ def expectation(op: HermitianOperator, state: PureState) -> float:
 
 
 def variance(op: HermitianOperator, state: PureState) -> float:
-    """<op^2> - <op>^2, clamped to zero when roundoff pushes it slightly negative."""
+    """||(op - <op>) psi||^2.
+
+    The two-pass form (Chan, Golub & LeVeque 1983) is nonnegative by
+    construction; <op^2> - <op>^2 cancels catastrophically once <op^2> is
+    large, and can come out below zero.
+    """
     _check_dims(op.dim, state.dim)
     psi = state.amplitudes
     op_psi = op.entries @ psi
     mean = np.vdot(psi, op_psi)
-    second = np.vdot(op_psi, op_psi)  # <psi|op^2|psi> since op is Hermitian
-    if abs(mean.imag) > EXPECTATION_IMAG_TOL or abs(second.imag) > EXPECTATION_IMAG_TOL:
-        raise ContractViolation("moment has imaginary residue above tolerance")
-    var = float(second.real - mean.real**2)
-    if var < -VARIANCE_CLAMP_TOL:
-        raise ContractViolation(f"variance {var:.3e} below -{VARIANCE_CLAMP_TOL}")
-    return max(var, 0.0)
+    if abs(mean.imag) > EXPECTATION_IMAG_TOL:
+        raise ContractViolation(
+            f"expectation has imaginary residue {mean.imag:.3e} above tolerance"
+        )
+    centered = op_psi - mean.real * psi
+    return float(np.vdot(centered, centered).real)
 
 
 def herm_eig(op: HermitianOperator) -> tuple[np.ndarray, UnitaryMatrix]:

@@ -17,6 +17,3 @@ UNITARY_TOL = 1e-10
 # Imaginary residue allowed on expectation values of Hermitian operators
 # before the imaginary part is discarded.
 EXPECTATION_IMAG_TOL = 1e-10
-
-# Variances may undershoot zero by this much before being clamped.
-VARIANCE_CLAMP_TOL = 1e-12

@@ -1,14 +1,19 @@
 """CLI surface: artifacts, schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from iqpe.cli import main
 
+REPO = Path(__file__).resolve().parent.parent
 FIT_CONFIG = "configs/static_fit_six_l.cfg"
 SPECTRUM_CONFIG = "configs/spectrum_l150.cfg"
 
@@ -24,6 +29,13 @@ def artifact_bytes(out_dir):
         for p in sorted(out_dir.iterdir())
         if p.name != "manifest.json"
     }
+
+
+def assert_manifest_lists_exactly(out_dir, names):
+    checksums = read_json(out_dir / "manifest.json")["artifact_checksums"]
+    assert set(checksums) == set(names)
+    for name, digest in checksums.items():
+        assert digest == "sha256:" + hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +227,42 @@ def test_rotation_sim_rerun_is_byte_identical(tmp_path):
         assert main(["rotation-sim", "--l", "9", "--alpha-deg", "0.001", "--nu", "10000",
                      "--trials", "200", "--seed", "5", "--out", str(out)]) == 0
     assert artifact_bytes(outs[0]) == artifact_bytes(outs[1])
+
+
+def test_reused_out_spectrum_manifest_lists_only_its_run(tmp_path):
+    out = tmp_path / "scan"
+    text = Path(SPECTRUM_CONFIG).read_text()
+    for l in (10, 20):
+        config = tmp_path / f"l{l}.cfg"
+        config.write_text(re.sub(r"^l = .*$", f"l = {l}", text, flags=re.MULTILINE))
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    assert_manifest_lists_exactly(
+        out, ["record_l20.csv", "demod_l20.csv", "spectrum.csv", "summary.json"]
+    )
+
+
+def test_reused_out_kerr_then_map_manifest(tmp_path):
+    out = tmp_path / "shared"
+    assert main(["kerr", "--nbar", "1", "--out", str(out)]) == 0
+    assert_manifest_lists_exactly(out, ["kerr.json"])
+    assert main(["qfi-map", "--scenario", "birefringence", "--resolution", "2",
+                 "--out", str(out)]) == 0
+    assert_manifest_lists_exactly(out, ["map.csv", "summary.json"])
+
+
+def test_bench_tracer_finds_its_targets(tmp_path):
+    # bench/tracer.py wraps named functions of every layer and exits 1 when
+    # one is missing, so a rename here must update its TARGETS too.
+    result = subprocess.run(
+        [sys.executable, str(REPO / "bench" / "tracer.py"), str(tmp_path / "spans.json"),
+         "smoke", "--", "qfi-map", "--scenario", "birefringence", "--resolution", "2",
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "spans.json").is_file()
 
 
 def test_console_script_runs(tmp_path):

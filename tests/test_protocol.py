@@ -73,6 +73,33 @@ def test_unitary_reproduces_joint_state_amplitudes():
 # ---------------------------------------------------------------------------
 
 
+def state_route_probabilities(proto, alpha):
+    """pL, pR by evolving |+>|l> explicitly and projecting the meter on |L>, |R>."""
+    ladder = modal_ladder(proto.oam_l)
+    meter = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0), "HV")
+    joint = tensor(meter, ladder.basis_state(proto.oam_l))
+    evolved = indefinite_rotation_unitary(proto, alpha).entries @ joint.amplitudes
+    # systematic phase offset on the |V> branch
+    evolved[ladder.dim :] *= np.exp(1j * proto.delta_phi)
+    h_branch = evolved[: ladder.dim]
+    v_branch = evolved[ladder.dim :]
+    # <L| = (<H| - 1j <V|)/sqrt(2), applied on the meter only
+    l_component = (h_branch - 1j * v_branch) / math.sqrt(2.0)
+    r_component = (h_branch + 1j * v_branch) / math.sqrt(2.0)
+    return float(np.sum(np.abs(l_component) ** 2)), float(np.sum(np.abs(r_component) ** 2))
+
+
+@pytest.mark.parametrize("l", [1, 2, 30, 150, 300])
+def test_probabilities_match_state_route(l):
+    for delta_phi in (0.35, -1.2):
+        proto = RotationProtocol(l, delta_phi)
+        for alpha in (0.0, -3.1e-4, 0.0123, 0.4):
+            p_l, p_r = projection_probabilities(proto, alpha)
+            state_l, state_r = state_route_probabilities(proto, alpha)
+            assert abs(p_l - state_l) <= 1e-12
+            assert abs(p_r - state_r) <= 1e-12
+
+
 def test_probabilities_balanced_at_zero():
     assert projection_probabilities(RotationProtocol(5), 0.0) == (0.5, 0.5)
 

@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iqpe.qfi import ParameterizedDynamics, iqpe_state_family, qfi_numeric, sqpe_state_family
+from iqpe.qfi import (
+    ParameterizedDynamics,
+    iqpe_qfi,
+    iqpe_state_family,
+    qfi_numeric,
+    sqpe_qfi,
+    sqpe_state_family,
+)
 from iqpe.scenarios import (
     LgFieldSample,
     SpherePoint,
@@ -22,9 +31,8 @@ from iqpe.scenarios import (
     save_lg_field,
     sphere_grid,
     stokes_operators,
-    write_sphere_map_csv,
 )
-from iqpe.statekit import ContractViolation, expectation, herm_eig
+from iqpe.statekit import ContractViolation, expectation, herm_eig, variance
 
 # ---------------------------------------------------------------------------
 # Stokes operators and polarization states
@@ -219,6 +227,31 @@ def test_maps_match_numeric_engine(order):
         assert numeric_i == pytest.approx(row.qfi_iqpe, rel=1e-5, abs=1e-6)
 
 
+# Orders at which <V^2> - <V>^2 cancels below zero at the poles; the map must
+# hold there.
+@pytest.mark.parametrize("order", [27, 38, 41, 64, 100, 200, 300])
+def test_rotation_map_high_orders(order):
+    rows = rotation_qfi_map(order, 2)
+    assert len(rows) == 2 * 4
+    assert all(row.qfi_sqpe >= 0.0 for row in rows)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_variance_and_qfi_order_over_ladder_range(order, theta, phi):
+    ladder = modal_ladder(order)
+    dyn = ParameterizedDynamics(ladder.lz)
+    for t in (0.0, math.pi, theta):
+        probe = hlg_state(ladder, order, SpherePoint(t, phi))
+        assert variance(ladder.lz, probe) >= 0.0
+        # equal on the equator, where <Lz> = 0, up to rounding in the last bit
+        assert sqpe_qfi(dyn, probe) <= iqpe_qfi(dyn, probe) * (1.0 + 1e-12)
+
+
 def test_birefringence_matches_numeric_engine():
     s1, _, _ = stokes_operators()
     dyn = ParameterizedDynamics(s1)
@@ -332,15 +365,6 @@ def test_field_rotation_requires_pure_radial_mode():
 # ---------------------------------------------------------------------------
 # file interfaces
 # ---------------------------------------------------------------------------
-
-
-def test_sphere_map_csv(tmp_path):
-    rows = birefringence_qfi_map(2)
-    path = tmp_path / "map.csv"
-    write_sphere_map_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "theta,phi,qfi_sqpe,qfi_iqpe"
-    assert len(lines) == 1 + 8
 
 
 def test_lg_field_round_trip(tmp_path):
