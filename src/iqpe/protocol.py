@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,8 +49,27 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed on (seed, stream): reproducible, order-free."""
     if seed < 0:
         raise ContractViolation(f"seed must be >= 0, got {seed}")
-    key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
+
+
+def _stream_key(seed: int, stream: int) -> np.ndarray:
+    return np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
+
+
+def _trial_rngs(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed to (seed, i) for each stream i in turn.
+
+    Each yielded state draws exactly what ``trial_rng(seed, i)`` draws: the
+    Philox key is reset with the counter at 0 and the buffer empty.  Building
+    a fresh generator per trial costs more than the draws themselves.
+    """
+    rng = trial_rng(seed, 0)
+    bit_generator = rng.bit_generator
+    fresh = bit_generator.state
+    for i in streams:
+        fresh["state"]["key"] = _stream_key(seed, i)
+        bit_generator.state = fresh
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -178,8 +198,7 @@ def monte_carlo_precision(
         raise ContractViolation(f"unknown statistics model {statistics!r}")
     p_l, _ = projection_probabilities(proto, alpha_true)
     estimates = np.empty(trials)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
+    for i, rng in enumerate(_trial_rngs(seed, range(trials))):
         if statistics == "binomial":
             n_l = int(rng.binomial(nu, p_l))
             record = ShotRecord(n_l, nu - n_l)

@@ -32,11 +32,13 @@ from .statekit import (
     tensor,
     variance,
 )
+from .tolerances import EXPECTATION_IMAG_TOL
 
 __all__ = [
     "ParameterizedDynamics",
     "QfiReport",
     "qfi_numeric",
+    "qfi_batch",
     "sqpe_qfi",
     "iqpe_generator",
     "iqpe_qfi",
@@ -159,10 +161,56 @@ def qfi_numeric(
     return max(q, 0.0)
 
 
+def qfi_batch(
+    states: np.ndarray, generator: np.ndarray, evolution_time: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both QFIs for every row of a ``(points, d)`` block of pure states.
+
+    ``generator`` is the characteristic operator V, either as the real 1-D
+    vector of its eigenvalues (a generator diagonal in the state basis) or
+    as a dense Hermitian ``(d, d)`` matrix.  Returns the arrays 4 T^2 Var[V]
+    (standard procedure) and 4 T^2 <V^2> (indefinite procedure).  The
+    variance is the two-pass ||(V - <V>) psi||^2, which for a diagonal V is
+    sum_k |psi_k|^2 (lam_k - <V>)^2.  Rows are trusted to be normalized:
+    states are validated where they enter.
+    """
+    psi = np.asarray(states)
+    gen = np.asarray(generator)
+    if psi.ndim != 2 or gen.ndim not in (1, 2) or gen.shape != (psi.shape[1],) * gen.ndim:
+        raise ContractViolation(
+            f"dimension mismatch: generator shape {gen.shape} vs state block {psi.shape}"
+        )
+    if gen.ndim == 1:
+        if np.iscomplexobj(gen):
+            raise ContractViolation("a diagonal generator takes real eigenvalues")
+        weights = psi.real**2 + psi.imag**2
+        mean = weights @ gen
+        var = np.einsum("pd,pd->p", weights, (gen - mean[:, None]) ** 2)
+        second_moment = weights @ (gen * gen)
+    else:
+        v_psi = psi @ gen.T
+        mean = np.einsum("pd,pd->p", psi.conj(), v_psi)
+        worst_imag = float(np.max(np.abs(mean.imag), initial=0.0))
+        if worst_imag > EXPECTATION_IMAG_TOL:
+            raise ContractViolation(
+                f"expectation has imaginary residue {worst_imag:.3e} above tolerance"
+            )
+        centered = v_psi - mean.real[:, None] * psi
+        var = np.einsum("pd,pd->p", centered.conj(), centered).real
+        second_moment = np.einsum("pd,pd->p", v_psi.conj(), v_psi).real
+    scale = 4.0 * evolution_time * evolution_time
+    return scale * var, scale * second_moment
+
+
+def _one_row(dyn: ParameterizedDynamics, probe: PureState) -> tuple[np.ndarray, np.ndarray]:
+    return qfi_batch(
+        probe.amplitudes[None, :], dyn.characteristic_op.entries, dyn.evolution_time
+    )
+
+
 def sqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
     """QFI of the standard procedure: 4 T^2 Var[V] over the probe."""
-    t = dyn.evolution_time
-    return 4.0 * t * t * variance(dyn.characteristic_op, probe)
+    return float(_one_row(dyn, probe)[0][0])
 
 
 def iqpe_generator(dyn: ParameterizedDynamics, g: float) -> HermitianOperator:
@@ -189,14 +237,7 @@ def iqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
     The two-level meter is prepared internally in the maximal superposition
     (|0> + |1>)/sqrt(2); ``iqpe_qfi_general`` accepts other meter states.
     """
-    if dyn.dim != probe.dim:
-        raise ContractViolation(
-            f"dimension mismatch: operator dim {dyn.dim} vs state dim {probe.dim}"
-        )
-    t = dyn.evolution_time
-    v_psi = dyn.characteristic_op.entries @ probe.amplitudes
-    second_moment = float(np.vdot(v_psi, v_psi).real)
-    return 4.0 * t * t * second_moment
+    return float(_one_row(dyn, probe)[1][0])
 
 
 def iqpe_qfi_general(

@@ -24,16 +24,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
-from .qfi import ParameterizedDynamics, iqpe_qfi, sqpe_qfi
+from .qfi import qfi_batch
 from .statekit import (
     ContractViolation,
     HermitianOperator,
     PureState,
     apply_unitary,
     expm_herm_generator,
+    herm_eig,
 )
+from .tolerances import STRUCTURAL_TOL
 
 __all__ = [
     "SpherePoint",
@@ -196,21 +197,51 @@ def polarization_state(pt: SpherePoint) -> PureState:
     return PureState(amps, "RL")
 
 
-def sphere_grid(resolution: int) -> list[SpherePoint]:
-    """Equiangular grid: ``resolution`` thetas over [0, pi] (inclusive) by
-    ``2*resolution`` phis over [0, 2*pi)."""
+def _grid_axes(resolution: int) -> tuple[np.ndarray, list[float]]:
+    """The grid's ``resolution`` thetas over [0, pi] (inclusive) and its
+    ``2*resolution`` phis over [0, 2*pi), each phi as SpherePoint stores it."""
     if resolution < 2:
         raise ContractViolation(f"resolution must be >= 2, got {resolution}")
     thetas = np.linspace(0.0, math.pi, resolution)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
+    return thetas, [float(p) % (2.0 * math.pi) for p in phis]
+
+
+def sphere_grid(resolution: int) -> list[SpherePoint]:
+    """Equiangular grid: ``resolution`` thetas over [0, pi] (inclusive) by
+    ``2*resolution`` phis over [0, 2*pi)."""
+    thetas, phis = _grid_axes(resolution)
     return [SpherePoint(t, p) for t in thetas for p in phis]
 
 
-def _cross_check(label, pt, closed, engine, rtol, atol):
-    if abs(closed - engine) > rtol * max(abs(closed), abs(engine)) + atol:
+def _cross_check(label, thetas, phis, closed, engine, rtol, atol):
+    """Compare closed forms with engine values over a (theta, phi) grid.
+
+    ``engine`` has shape ``(len(thetas), len(phis))`` and ``closed`` any
+    shape that broadcasts to it.  Raises at the point that exceeds
+    rtol * max(|closed|, |engine|) + atol by the most, or at a non-finite
+    engine value.
+    """
+    closed = np.broadcast_to(closed, engine.shape)
+    excess = np.abs(closed - engine) - (
+        rtol * np.maximum(np.abs(closed), np.abs(engine)) + atol
+    )
+    worst = np.unravel_index(np.argmax(excess), excess.shape)
+    if not excess[worst] <= 0.0:
         raise ContractViolation(
-            f"{label} closed form {closed!r} vs engine {engine!r} at "
-            f"theta={pt.theta}, phi={pt.phi}"
+            f"{label} closed form {float(closed[worst])!r} vs engine "
+            f"{float(engine[worst])!r} at theta={thetas[worst[0]]}, phi={phis[worst[1]]}"
+        )
+
+
+def _check_normalized(block: np.ndarray, label: str) -> None:
+    """Every row of a complex ``(points, d)`` block has unit norm."""
+    parts = np.ascontiguousarray(block).view(np.float64)
+    norms = np.sqrt(np.einsum("pk,pk->p", parts, parts))
+    worst = float(np.max(np.abs(norms - 1.0)))
+    if not worst <= STRUCTURAL_TOL:
+        raise ContractViolation(
+            f"{label} norm deviates from 1 by {worst!r}, more than {STRUCTURAL_TOL}"
         )
 
 
@@ -222,15 +253,27 @@ def birefringence_qfi_map(grid_resolution: int) -> list[SphereMapRow]:
     against the generic engine within 1e-8.
     """
     s1, _, _ = stokes_operators()
-    dyn = ParameterizedDynamics(s1)
+    thetas, phis = _grid_axes(grid_resolution)
     rows = []
-    for pt in sphere_grid(grid_resolution):
-        probe = polarization_state(pt)
-        closed_s = 4.0 - 4.0 * math.sin(pt.theta) ** 2 * math.cos(pt.phi) ** 2
-        closed_i = 4.0
-        _cross_check("birefringence standard QFI", pt, closed_s, sqpe_qfi(dyn, probe), 0.0, 1e-8)
-        _cross_check("birefringence switched QFI", pt, closed_i, iqpe_qfi(dyn, probe), 0.0, 1e-8)
-        rows.append(SphereMapRow(pt.theta, pt.phi, closed_s, closed_i))
+    closed_s = np.empty((thetas.size, len(phis)))
+    for k, theta in enumerate(thetas):
+        sin_sq = math.sin(theta) ** 2
+        values = [4.0 - 4.0 * sin_sq * math.cos(phi) ** 2 for phi in phis]
+        closed_s[k] = values
+        rows.extend(SphereMapRow(theta, phi, q, 4.0) for phi, q in zip(phis, values))
+    # cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> at every grid point
+    half = thetas / 2.0
+    states = np.empty((thetas.size, len(phis), 2), dtype=np.complex128)
+    states[..., 0] = np.cos(half)[:, None]
+    states[..., 1] = np.sin(half)[:, None] * np.exp(1j * np.asarray(phis))
+    block = states.reshape(-1, 2)
+    _check_normalized(block, "polarization state")
+    engine_s, engine_i = qfi_batch(block, s1.entries)
+    shape = closed_s.shape
+    _cross_check("birefringence standard QFI", thetas, phis, closed_s,
+                 engine_s.reshape(shape), 0.0, 1e-8)
+    _cross_check("birefringence switched QFI", thetas, phis, 4.0,
+                 engine_i.reshape(shape), 0.0, 1e-8)
     return rows
 
 
@@ -267,6 +310,32 @@ def hlg_state(ladder: ModalLadder, l: int, pt: SpherePoint) -> PureState:
     return apply_unitary(expm_herm_generator(ladder.j3, pt.phi), tilted)
 
 
+def _rotation_engine(
+    ladder: ModalLadder, thetas: np.ndarray, phis: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Engine QFIs of the top-OAM mode rotated to every (theta, phi) point.
+
+    The states are those of ``hlg_state``, built from one eigendecomposition
+    j2 = V diag(lam) V^dag: the tilted start mode is
+    V (e^{-i lam theta} o conj(V[k, :])) for every theta at once, and the phi
+    rotation is a diagonal phase.  Each theta's row of states is one block of
+    the QFI kernel.  Returns two ``(len(thetas), len(phis))`` arrays.
+    """
+    lam, vectors = herm_eig(ladder.j2)
+    v = vectors.entries
+    start = v[ladder.index_of(ladder.order_N)].conj()
+    tilted = (np.exp(-1j * np.outer(thetas, lam)) * start) @ v.T
+    oam = ladder.oam_values().astype(float)
+    twist = np.exp(-0.5j * np.outer(phis, oam))  # exp(-1j * j3 * phi), j3 = lz / 2
+    engine_s = np.empty((len(thetas), len(phis)))
+    engine_i = np.empty_like(engine_s)
+    for k, mode in enumerate(tilted):
+        block = twist * mode
+        _check_normalized(block, "rotated mode")
+        engine_s[k], engine_i[k] = qfi_batch(block, oam)
+    return engine_s, engine_i
+
+
 def rotation_qfi_map(order_N: int, grid_resolution: int) -> list[SphereMapRow]:
     """QFI of the rotation angle over the modal sphere, top-OAM start mode.
 
@@ -276,17 +345,19 @@ def rotation_qfi_map(order_N: int, grid_resolution: int) -> list[SphereMapRow]:
     no closed form here; use the engine directly for those.
     """
     ladder = modal_ladder(order_N)
-    dyn = ParameterizedDynamics(ladder.lz)
+    thetas, phis = _grid_axes(grid_resolution)
     n = float(order_N)
     rows = []
-    for pt in sphere_grid(grid_resolution):
-        probe = hlg_state(ladder, order_N, pt)
-        sin_sq = math.sin(pt.theta) ** 2
+    closed = np.empty((thetas.size, 2))
+    for k, theta in enumerate(thetas):
+        sin_sq = math.sin(theta) ** 2
         closed_s = 4.0 * n * sin_sq
         closed_i = 4.0 * n * n * (1.0 - sin_sq) + 4.0 * n * sin_sq
-        _cross_check("rotation standard QFI", pt, closed_s, sqpe_qfi(dyn, probe), 1e-6, 1e-8)
-        _cross_check("rotation switched QFI", pt, closed_i, iqpe_qfi(dyn, probe), 1e-6, 1e-8)
-        rows.append(SphereMapRow(pt.theta, pt.phi, closed_s, closed_i))
+        closed[k] = closed_s, closed_i
+        rows.extend(SphereMapRow(theta, phi, closed_s, closed_i) for phi in phis)
+    engine_s, engine_i = _rotation_engine(ladder, thetas, phis)
+    _cross_check("rotation standard QFI", thetas, phis, closed[:, :1], engine_s, 1e-6, 1e-8)
+    _cross_check("rotation switched QFI", thetas, phis, closed[:, 1:], engine_i, 1e-6, 1e-8)
     return rows
 
 
@@ -298,6 +369,8 @@ def kerr_truncation(nbar: float) -> int:
 def _coherent_amplitudes(nbar: float, truncation: int) -> np.ndarray:
     # log-domain Poisson weights; amplitude phase irrelevant for number
     # statistics, so the coherent amplitude is taken real and positive.
+    from scipy.special import gammaln  # imported here: slow to import
+
     n = np.arange(truncation)
     if nbar == 0.0:
         amps = np.zeros(truncation)
@@ -335,8 +408,9 @@ def kerr_qfi(nbar: float, truncation: int | None = None) -> tuple[float, float]:
     if truncation is None:
         truncation = kerr_truncation(nbar)
     probe = coherent_state(nbar, truncation)
-    dyn = ParameterizedDynamics(number_operator(truncation))
-    return sqpe_qfi(dyn, probe), iqpe_qfi(dyn, probe)
+    # the number operator is diagonal: pass its eigenvalues, not a dense matrix
+    sqpe, iqpe = qfi_batch(probe.amplitudes[None, :], np.arange(truncation, dtype=float))
+    return float(sqpe[0]), float(iqpe[0])
 
 
 def lg_field(p: int, l: int, grid_n: int, extent: float) -> LgFieldSample:
@@ -346,6 +420,8 @@ def lg_field(p: int, l: int, grid_n: int, extent: float) -> LgFieldSample:
     Lengths are in waist units (w = 1).  The printed normalization prefactor
     is applied and then superseded by exact discrete normalization.
     """
+    from scipy.special import eval_genlaguerre, gammaln  # imported here: slow to import
+
     if grid_n < 64:
         raise ContractViolation(f"grid_n must be >= 64, got {grid_n}")
     if p < 0:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from iqpe import scenarios
 from iqpe.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,6 +61,22 @@ def test_qfi_map_rotation(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["subcommand"] == "qfi-map"
     assert set(manifest["artifact_checksums"]) == {"map.csv", "summary.json"}
+
+
+def test_qfi_map_engine_disagreement_is_numeric_error(tmp_path, monkeypatch, capsys):
+    real = scenarios._rotation_engine
+
+    def perturbed(ladder, thetas, phis):
+        engine_s, engine_i = real(ladder, thetas, phis)
+        engine_s[1, 2] += 1.0
+        return engine_s, engine_i
+
+    monkeypatch.setattr(scenarios, "_rotation_engine", perturbed)
+    code = main(["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "4",
+                 "--out", str(tmp_path / "map")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"theta={math.pi / 3.0}, phi={math.pi / 2.0}" in err
 
 
 def test_qfi_map_birefringence_flat(tmp_path):
@@ -263,6 +280,20 @@ def test_bench_tracer_finds_its_targets(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "spans.json").is_file()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy submodules are imported inside their only users; a top-level
+    # import would add its load time to every command
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import iqpe.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_script_runs(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iqpe import protocol
 from iqpe.protocol import (
     RotationProtocol,
     ShotRecord,
@@ -285,3 +286,16 @@ def test_trial_rng_streams():
     assert not np.array_equal(a, c)
     with pytest.raises(ContractViolation):
         trial_rng(-1, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2**63 + 5])
+def test_rekeyed_streams_match_fresh_generators(seed):
+    # monte_carlo_precision re-keys one Philox per trial; every trial must
+    # still draw exactly what a fresh trial_rng(seed, i) draws
+    streams = [0, 1, 2, 7, 2**32 - 1, 2**32, 2**32 + 3, 2**64 - 1]
+    for i, rng in zip(streams, protocol._trial_rngs(seed, streams)):
+        fresh = trial_rng(seed, i)
+        assert rng.binomial(10**6, 0.37) == fresh.binomial(10**6, 0.37)
+        assert rng.poisson(4.2e5) == fresh.poisson(4.2e5)
+        assert rng.binomial(10**5, 0.6) == fresh.binomial(10**5, 0.6)
+        assert rng.poisson(7.5e4) == fresh.poisson(7.5e4)

@@ -10,6 +10,7 @@ from iqpe.qfi import (
     iqpe_qfi,
     iqpe_qfi_general,
     iqpe_state_family,
+    qfi_batch,
     qfi_numeric,
     qfi_report,
     qfi_upper_bounds,
@@ -93,6 +94,47 @@ def test_iqpe_top_oam():
     ladder = modal_ladder(4)
     dyn = ParameterizedDynamics(ladder.lz)
     assert iqpe_qfi(dyn, ladder.basis_state(4)) == pytest.approx(64.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batched kernel
+# ---------------------------------------------------------------------------
+
+
+def test_batch_eigenvalue_vector_matches_dense_matrix():
+    rng = np.random.default_rng(3)
+    lam = rng.normal(size=7) * 10.0
+    block = np.array([random_state(rng, 7).amplitudes for _ in range(5)])
+    s_vec, i_vec = qfi_batch(block, lam, 0.7)
+    s_mat, i_mat = qfi_batch(block, np.diag(lam).astype(complex), 0.7)
+    np.testing.assert_allclose(s_vec, s_mat, rtol=1e-12)
+    np.testing.assert_allclose(i_vec, i_mat, rtol=1e-12)
+
+
+def test_batch_rows_match_single_state_calls():
+    rng = np.random.default_rng(8)
+    ladder = modal_ladder(6)
+    dyn = ParameterizedDynamics(ladder.lz, evolution_time=1.3)
+    probes = [random_state(rng, 7) for _ in range(4)]
+    sqpe, iqpe = qfi_batch(np.array([p.amplitudes for p in probes]), ladder.lz.entries, 1.3)
+    for k, probe in enumerate(probes):
+        assert sqpe[k] == pytest.approx(sqpe_qfi(dyn, probe), rel=1e-12)
+        assert iqpe[k] == pytest.approx(iqpe_qfi(dyn, probe), rel=1e-12)
+
+
+def test_batch_rejects_bad_shapes():
+    with pytest.raises(ContractViolation):
+        qfi_batch(np.ones((2, 3)), np.ones(4))
+    with pytest.raises(ContractViolation):
+        qfi_batch(np.ones((2, 3)), np.ones((3, 4)))
+    with pytest.raises(ContractViolation):
+        qfi_batch(np.ones(3), np.ones(3))
+    with pytest.raises(ContractViolation):
+        qfi_batch(np.ones((2, 3)), np.ones(3, dtype=complex))
+    with pytest.raises(ContractViolation):
+        sqpe_qfi(ParameterizedDynamics(S1), modal_ladder(4).basis_state(4))
+    with pytest.raises(ContractViolation):
+        iqpe_qfi(ParameterizedDynamics(S1), modal_ladder(4).basis_state(4))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqpe import scenarios
 from iqpe.qfi import (
     ParameterizedDynamics,
     iqpe_qfi,
@@ -252,6 +253,62 @@ def test_variance_and_qfi_order_over_ladder_range(order, theta, phi):
         assert sqpe_qfi(dyn, probe) <= iqpe_qfi(dyn, probe) * (1.0 + 1e-12)
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+)
+def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
+    # the map's batched route (one eigh, diagonal phases, one kernel block per
+    # theta) against the per-point route: hlg_state, variance, second moment
+    ladder = modal_ladder(order)
+    thetas = np.array([theta])
+    phis = [0.0, phi]
+    engine_s, engine_i = scenarios._rotation_engine(ladder, thetas, phis)
+    for k, t in enumerate(thetas):
+        for j, p in enumerate(phis):
+            probe = hlg_state(ladder, order, SpherePoint(t, p))
+            v_psi = ladder.lz.entries @ probe.amplitudes
+            oracle_s = 4.0 * variance(ladder.lz, probe)
+            oracle_i = 4.0 * float(np.vdot(v_psi, v_psi).real)
+            assert engine_s[k, j] == pytest.approx(oracle_s, rel=1e-9, abs=1e-12)
+            assert engine_i[k, j] == pytest.approx(oracle_i, rel=1e-9, abs=1e-12)
+
+
+def test_rotation_cross_check_names_worst_point(monkeypatch):
+    thetas = np.linspace(0.0, math.pi, 5)
+    phis = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+    real = scenarios._rotation_engine
+
+    def perturbed(ladder, grid_thetas, grid_phis):
+        engine_s, engine_i = real(ladder, grid_thetas, grid_phis)
+        engine_i[3, 7] += 1e-3
+        return engine_s, engine_i
+
+    monkeypatch.setattr(scenarios, "_rotation_engine", perturbed)
+    with pytest.raises(ContractViolation) as info:
+        rotation_qfi_map(4, 5)
+    message = str(info.value)
+    assert "rotation switched QFI" in message
+    assert f"theta={thetas[3]}, phi={float(phis[7])}" in message
+
+
+def test_cross_check_picks_largest_excess():
+    thetas = np.array([0.0, 1.0])
+    phis = [0.0, 2.0, 4.0]
+    closed = np.full((2, 3), 10.0)
+    engine = closed.copy()
+    engine[0, 1] += 1e-3
+    engine[1, 2] += 2e-3
+    with pytest.raises(ContractViolation, match=r"theta=1\.0, phi=4\.0"):
+        scenarios._cross_check("test QFI", thetas, phis, closed, engine, 1e-6, 1e-8)
+    engine[1, 2] = np.nan
+    with pytest.raises(ContractViolation, match=r"theta=1\.0, phi=4\.0"):
+        scenarios._cross_check("test QFI", thetas, phis, closed, engine, 1e-6, 1e-8)
+    scenarios._cross_check("test QFI", thetas, phis, closed, closed + 1e-9, 1e-6, 1e-8)
+
+
 def test_birefringence_matches_numeric_engine():
     s1, _, _ = stokes_operators()
     dyn = ParameterizedDynamics(s1)
@@ -282,6 +339,16 @@ def test_kerr_truncation_stable():
     doubled = kerr_qfi(4.0, 192)
     assert doubled[0] == pytest.approx(base[0], rel=1e-8)
     assert doubled[1] == pytest.approx(base[1], rel=1e-8)
+
+
+def test_kerr_large_nbar():
+    # the number operator is a vector of eigenvalues, so a 16032-dimensional
+    # Fock space costs O(truncation) memory
+    nbar = 1000.0
+    assert scenarios.kerr_truncation(nbar) == 16032
+    qfi_sqpe, qfi_iqpe = kerr_qfi(nbar)
+    assert qfi_sqpe == pytest.approx(4.0 * nbar, rel=1e-12)
+    assert qfi_iqpe == pytest.approx(4.0 * nbar * nbar + 4.0 * nbar, rel=1e-12)
 
 
 def test_kerr_insufficient_truncation_rejected():
