@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -102,18 +101,13 @@ class ShotRecord:
         object.__setattr__(self, "nu_total", self.nu_L + self.nu_R)
 
 
-@lru_cache(maxsize=8)
-def _cached_ladder(order: int):
-    return modal_ladder(order)
-
-
 def indefinite_rotation_unitary(proto: RotationProtocol, alpha: float) -> UnitaryMatrix:
     """Joint meter+probe unitary: exp(-1j*alpha*Lz) (+) exp(+1j*alpha*Lz).
 
     Meter-outer block ordering on the order-l modal space; |H> selects the
     forward rotation, |V> the backward one.
     """
-    ladder = _cached_ladder(proto.oam_l)
+    ladder = modal_ladder(proto.oam_l)
     oam = ladder.oam_values().astype(float)
     forward = np.exp(-1j * alpha * oam)
     dim = ladder.dim

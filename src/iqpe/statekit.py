@@ -107,11 +107,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def squared(self) -> "HermitianOperator":
-        sq = self.entries @ self.entries
-        # Symmetrize away roundoff so the constructor's invariant holds.
-        return HermitianOperator(0.5 * (sq + sq.conj().T))
-
     @staticmethod
     def identity(dim: int) -> "HermitianOperator":
         return HermitianOperator(np.eye(dim, dtype=np.complex128))

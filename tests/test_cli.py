@@ -282,18 +282,30 @@ def test_bench_tracer_finds_its_targets(tmp_path):
     assert (tmp_path / "spans.json").is_file()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy submodules are imported inside their only users; a top-level
-    # import would add its load time to every command
+def scipy_modules_after(code):
+    """scipy modules loaded in a fresh process once ``code`` has run."""
     result = subprocess.run(
         [sys.executable, "-c",
-         "import iqpe.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         code + "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy submodules are imported inside their only users; a top-level
+    # import would add its load time to every command
+    assert scipy_modules_after("import iqpe.cli") == "[]"
+
+
+def test_kerr_loads_no_scipy(tmp_path):
+    # the Poisson weights take their log-factorials from math.lgamma
+    argv = ["kerr", "--nbar", "99.27", "--out", str(tmp_path / "kerr")]
+    code = f"import iqpe.cli; assert iqpe.cli.main({argv!r}) == 0"
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_console_script_runs(tmp_path):

@@ -260,8 +260,9 @@ def test_global_phase_invariance():
         assert report.qfi_sqpe == pytest.approx(shifted_report.qfi_sqpe, abs=1e-10)
 
 
-def test_custom_unitary_must_be_linear():
-    with pytest.raises(ContractViolation):
-        ParameterizedDynamics(
-            S1, unitary_at=lambda g: ParameterizedDynamics(S3).unitary_at(g)
-        )
+@pytest.mark.parametrize("evolution_time", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_evolution_time_is_rejected(evolution_time):
+    # every bound check in QfiReport compares false against NaN, so a NaN
+    # time would pass through to a report full of NaN
+    with pytest.raises(ContractViolation, match="evolution time must be finite"):
+        ParameterizedDynamics(modal_ladder(4).lz, evolution_time)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqpe import scenarios
@@ -18,6 +18,7 @@ from iqpe.qfi import (
 )
 from iqpe.scenarios import (
     LgFieldSample,
+    ModalLadder,
     SpherePoint,
     birefringence_qfi_map,
     coherent_state,
@@ -132,9 +133,9 @@ def test_ladder_oam_spectrum():
     assert np.allclose(vals, [-4, -2, 0, 2, 4], atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2, 4, 10, 50, 150])
-def test_ladder_algebra(order):
-    ladder = modal_ladder(order)
+def assert_su2_ladder(ladder):
+    """Dense su(2) checks: the three commutators, the Casimir, lz = 2*j3 = diag(l)."""
+    order = ladder.order_N
     a1, a2, a3 = ladder.j1.entries, ladder.j2.entries, ladder.j3.entries
     assert np.linalg.norm(a1 @ a2 - a2 @ a1 - 1j * a3, ord="fro") < 1e-9
     assert np.linalg.norm(a2 @ a3 - a3 @ a2 - 1j * a1, ord="fro") < 1e-9
@@ -143,14 +144,30 @@ def test_ladder_algebra(order):
     casimir = a1 @ a1 + a2 @ a2 + a3 @ a3
     assert np.max(np.abs(casimir - j * (j + 1.0) * np.eye(order + 1))) < 1e-9
     assert np.array_equal(ladder.lz.entries, 2.0 * ladder.j3.entries)
-    assert np.allclose(np.diag(ladder.lz.entries), np.arange(order, -order - 1, -2))
+    assert np.array_equal(ladder.lz.entries, np.diag(np.arange(order, -order - 1, -2)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 10, 50, 150])
+def test_ladder_algebra(order):
+    assert_su2_ladder(modal_ladder(order))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=scenarios.MAX_LADDER_ORDER))
+@example(0)
+@example(scenarios.MAX_LADDER_ORDER)
+def test_ladder_algebra_over_full_range(order):
+    assert_su2_ladder(ModalLadder(order))
 
 
 def test_ladder_rejects_out_of_range():
-    with pytest.raises(ContractViolation):
-        modal_ladder(-1)
-    with pytest.raises(ContractViolation):
-        modal_ladder(301)
+    for build in (modal_ladder, ModalLadder):
+        with pytest.raises(ContractViolation):
+            build(-1)
+        with pytest.raises(ContractViolation):
+            build(scenarios.MAX_LADDER_ORDER + 1)
+        with pytest.raises(ContractViolation):
+            build(4.5)
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +460,24 @@ def test_lg_field_round_trip(tmp_path):
     assert loaded.p == 0 and loaded.l == 3
     assert loaded.extent == field.extent
     assert np.array_equal(loaded.grid, field.grid)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda data: data[:-8], "body holds 248 bytes"),
+        (lambda data: data + bytes(16), "body holds 272 bytes"),
+        (lambda data: data.replace(b"l 0\n", b""), "header lacks 'l'"),
+        (lambda data: data.replace(b"complex128-le", b"complex64-le"), "unknown .* dtype"),
+        (lambda data: b"\x89PNG\r\n\x1a\n" + bytes(64), "not a lgfield v1 file"),
+        (lambda data: data[:-16] + np.array([np.nan], dtype="<c16").tobytes(), "norm\\^2 nan"),
+    ],
+    ids=["truncated-body", "trailing-bytes", "missing-key", "unknown-dtype", "binary", "nan-body"],
+)
+def test_load_lg_field_rejects_malformed_file(tmp_path, corrupt, message):
+    path = tmp_path / "mode.lgf"
+    # 4x4 flat grid on [-1, 1]: cell area 4/9, so amplitude 3/8 normalizes it
+    save_lg_field(LgFieldSample(np.full((4, 4), 0.375), 1.0, 0, 0), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ContractViolation, match=message):
+        load_lg_field(path)
