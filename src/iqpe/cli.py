@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 import jsonschema
+import numpy as np
 
 from . import emulator, protocol, scenarios
 from .emulator import ConfigError
@@ -71,12 +72,17 @@ def _schema(name: str) -> dict:
 
 
 def _write_json(out: _OutDir, name: str, payload: dict, schema_name: str) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ContractViolation(f"{name} would hold a non-finite value") from None
     jsonschema.validate(payload, _schema(schema_name))
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     _put(out, name, text.encode("ascii"))
 
 
 def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
+    if not np.isfinite(np.asarray(columns, dtype=float)).all():
+        raise ContractViolation(f"{name} would hold a non-finite value")
     lines = [header]
     for row in zip(*columns):
         lines.append(",".join(f"{float(v):.17g}" for v in row))
@@ -270,11 +276,12 @@ def _cmd_fit(args) -> None:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise ConfigError(f"{args.input}:{lineno}: expected 'l,phi_rad'")
-                measurements.append((int(parts[0]), float(parts[1])))
-    except OSError as exc:
+                try:
+                    measurements.append((int(parts[0]), emulator.finite_float(parts[1])))
+                except ValueError as exc:
+                    raise ConfigError(f"{args.input}:{lineno}: bad numeric value: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.input!r}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{args.input}: bad numeric value: {exc}") from None
     report = emulator.fit_oam_series(measurements)
     payload = {
         "alpha_hat_rad": report.alpha_hat,
@@ -298,15 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=_cmd_qfi_map)
 
     p_kerr = sub.add_parser("kerr", help="coherent-probe phase-shift QFI pair")
-    p_kerr.add_argument("--nbar", type=float, required=True)
+    p_kerr.add_argument("--nbar", type=emulator.finite_float, required=True)
     p_kerr.add_argument("--truncation", type=int, default=None)
     p_kerr.add_argument("--out", required=True)
     p_kerr.set_defaults(func=_cmd_kerr)
 
     p_sim = sub.add_parser("rotation-sim", help="Monte-Carlo estimator precision")
     p_sim.add_argument("--l", type=int, required=True, help="OAM value")
-    p_sim.add_argument("--alpha-deg", type=float, required=True, help="true angle, degrees")
-    p_sim.add_argument("--delta-phi-deg", type=float, default=0.0)
+    p_sim.add_argument(
+        "--alpha-deg", type=emulator.finite_float, required=True, help="true angle, degrees"
+    )
+    p_sim.add_argument("--delta-phi-deg", type=emulator.finite_float, default=0.0)
     p_sim.add_argument("--nu", type=int, default=10**6, help="photons per trial")
     p_sim.add_argument("--trials", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, required=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,10 +44,10 @@ __all__ = [
     "amplitude_spectrum",
     "precision_vs_oam",
     "parse_run_config",
+    "finite_float",
     "calibrated_noise",
     "run_fit_pipeline",
     "run_spectrum_pipeline",
-    "make_alpha_signal",
 ]
 
 # Exact SI values (2019 redefinition): Planck constant and speed of light.
@@ -99,21 +99,16 @@ class DetectorRecord:
     """Sampled two-channel optical powers, in volts after transimpedance."""
 
     sample_rate: float
-    duration: float
     ch1: np.ndarray
     ch2: np.ndarray
 
     def __post_init__(self):
-        expected = round(self.sample_rate * self.duration)
-        ch1 = np.asarray(self.ch1, dtype=float)
-        ch2 = np.asarray(self.ch2, dtype=float)
-        if ch1.shape != (expected,) or ch2.shape != (expected,):
+        ch1 = np.array(self.ch1, dtype=float)
+        ch2 = np.array(self.ch2, dtype=float)
+        if ch1.ndim != 1 or ch1.shape != ch2.shape:
             raise ContractViolation(
-                f"channel length must be round(rate*duration)={expected}, "
-                f"got {ch1.shape} and {ch2.shape}"
+                f"channels must be 1-d and of equal length, got {ch1.shape} and {ch2.shape}"
             )
-        ch1 = ch1.copy()
-        ch2 = ch2.copy()
         ch1.setflags(write=False)
         ch2.setflags(write=False)
         object.__setattr__(self, "ch1", ch1)
@@ -121,9 +116,6 @@ class DetectorRecord:
 
     def times(self) -> np.ndarray:
         return np.arange(self.ch1.size) / self.sample_rate
-
-    def watts(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.ch1 / VOLTS_PER_WATT, self.ch2 / VOLTS_PER_WATT
 
 
 class PhaseSeries(NamedTuple):
@@ -141,11 +133,6 @@ class FitReport:
     delta_phi_hat: float
     r_square: float
 
-    def __post_init__(self):
-        if self.r_square > 1.0 + 1e-12:
-            raise ContractViolation(f"r_square {self.r_square} exceeds 1")
-        object.__setattr__(self, "r_square", min(self.r_square, 1.0))
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -156,52 +143,42 @@ class SpectrumReport:
     noise_floor: float
     signal_peak: tuple[float, float]
 
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if freqs.shape != amps.shape or freqs.ndim != 1:
-            raise ContractViolation("frequency and amplitude arrays must match")
-        if np.any(np.diff(freqs) <= 0.0):
-            raise ContractViolation("frequencies must be strictly increasing")
-        if np.any(amps < 0.0):
-            raise ContractViolation("amplitudes must be nonnegative")
-        freqs = freqs.copy()
-        amps = amps.copy()
-        freqs.setflags(write=False)
-        amps.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "amplitudes", amps)
-
 
 def synthesize_record(
     l: int,
-    alpha_signal: Callable[[np.ndarray], np.ndarray],
+    signal_amp_rad: float,
+    signal_freq_hz: float,
     delta_phi: float,
     power_w: float,
     noise: NoiseSpec,
     sample_rate: float,
     duration: float,
     seed: int,
-    max_signal_freq_hz: Optional[float] = None,
     stream_offset: int = 0,
 ) -> DetectorRecord:
     """Synthesize the two detector channels for a rotation-angle signal.
 
-    Channel powers follow (power/2)*(1 +/- sin(2*l*alpha(t) + delta_phi)),
-    with phase noise added on the argument and shot noise on each channel,
-    then converted to detector volts.  ``max_signal_freq_hz`` (when known)
-    enforces the Nyquist condition.  Noise draws use the Philox streams
+    The rotation angle is amp*sin(2*pi*f*t), or a constant amp at f = 0; a
+    signal above the Nyquist frequency is rejected.  Channel powers follow
+    (power/2)*(1 +/- sin(2*l*alpha(t) + delta_phi)), with phase noise added
+    on the argument and shot noise on each channel, then converted to
+    detector volts.  Noise draws use the Philox streams
     (seed, stream_offset + {0, 1, 2}).
     """
-    if power_w <= 0.0:
+    if signal_freq_hz < 0.0:
+        raise ConfigError(f"signal frequency must be >= 0, got {signal_freq_hz}")
+    if not power_w > 0.0:
         raise ContractViolation(f"optical power must be > 0, got {power_w}")
-    if max_signal_freq_hz is not None and sample_rate < 2.0 * max_signal_freq_hz:
+    if signal_freq_hz > 0.0 and sample_rate < 2.0 * signal_freq_hz:
         raise ContractViolation(
-            f"sample rate {sample_rate} below Nyquist for {max_signal_freq_hz} Hz"
+            f"sample rate {sample_rate} below Nyquist for {signal_freq_hz} Hz"
         )
     n = round(sample_rate * duration)
-    t = np.arange(n) / sample_rate
-    alpha = np.broadcast_to(np.asarray(alpha_signal(t), dtype=float), (n,))
+    if signal_freq_hz == 0.0:
+        alpha = np.full(n, signal_amp_rad, dtype=float)
+    else:
+        t = np.arange(n) / sample_rate
+        alpha = signal_amp_rad * np.sin(2.0 * math.pi * signal_freq_hz * t)
     phase = 2.0 * l * alpha + delta_phi
     if noise.phase_asd > 0.0:
         sigma_phi = noise.phase_asd * math.sqrt(sample_rate / 2.0)
@@ -213,7 +190,7 @@ def synthesize_record(
         scale = noise.shot * math.sqrt(PHOTON_ENERGY_J * sample_rate)
         p1 = p1 + trial_rng(seed, stream_offset + 1).standard_normal(n) * scale * np.sqrt(p1)
         p2 = p2 + trial_rng(seed, stream_offset + 2).standard_normal(n) * scale * np.sqrt(p2)
-    return DetectorRecord(sample_rate, duration, p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT)
+    return DetectorRecord(sample_rate, p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT)
 
 
 def demodulate_phase(record: DetectorRecord) -> PhaseSeries:
@@ -319,37 +296,14 @@ def amplitude_spectrum(
     signal_peak = (float(frequencies[peak_bin]), float(band_amps[peak_pos]))
     keep = np.abs(in_band - peak_bin) > PEAK_EXCLUSION_BINS
     noise_floor = float(np.median(band_amps[keep]))
+    frequencies.setflags(write=False)
+    amplitudes.setflags(write=False)
     return SpectrumReport(frequencies, amplitudes, noise_floor, signal_peak)
-
-
-def make_alpha_signal(amp_rad: float, freq_hz: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Rotation-angle signal: amp*sin(2*pi*f*t), or a constant amp at f = 0."""
-    if freq_hz < 0.0:
-        raise ConfigError(f"signal frequency must be >= 0, got {freq_hz}")
-    if freq_hz == 0.0:
-        return lambda t: np.full_like(np.asarray(t, dtype=float), amp_rad)
-    return lambda t: amp_rad * np.sin(2.0 * math.pi * freq_hz * np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # Run configuration (flat key-value files) and the two pipelines
 # ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = {
-    "mode",
-    "l",
-    "power_w",
-    "delta_phi_rad",
-    "signal_freq_hz",
-    "signal_amp_rad",
-    "sample_rate",
-    "duration_s",
-    "band_lo_hz",
-    "band_hi_hz",
-    "noise.phase_asd",
-    "noise.shot",
-    "seed",
-}
 
 
 @dataclass(frozen=True)
@@ -381,6 +335,10 @@ class RunConfig:
             raise ConfigError("OAM values must be >= 0")
         if not self.noise.silent and self.seed is None:
             raise ConfigError("a seed is required when noise is enabled")
+        if not self.sample_rate > 0.0:
+            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if round(self.sample_rate * self.duration_s) < 1:
+            raise ConfigError(f"duration_s = {self.duration_s} gives no samples")
 
 
 def _parse_kv_lines(path) -> dict[str, tuple[str, int]]:
@@ -399,12 +357,44 @@ def _parse_kv_lines(path) -> dict[str, tuple[str, int]]:
     return values
 
 
-def _take(values, path, key, cast, default=None, required=False):
+def finite_float(raw: str) -> float:
+    """``float(raw)``, raising ValueError for nan and +/-inf as well."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+def _oam_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(part.strip()) for part in raw.split(","))
+
+
+_REQUIRED = object()
+
+# Every run-config key: its cast and its default (_REQUIRED: no default).
+_CONFIG_TABLE = {
+    "mode": (str, _REQUIRED),
+    "l": (_oam_list, _REQUIRED),
+    "power_w": (finite_float, _REQUIRED),
+    "delta_phi_rad": (finite_float, 0.0),
+    "signal_freq_hz": (finite_float, _REQUIRED),
+    "signal_amp_rad": (finite_float, _REQUIRED),
+    "sample_rate": (finite_float, _REQUIRED),
+    "duration_s": (finite_float, _REQUIRED),
+    "band_lo_hz": (finite_float, DEFAULT_BAND[0]),
+    "band_hi_hz": (finite_float, DEFAULT_BAND[1]),
+    "noise.phase_asd": (finite_float, 0.0),
+    "noise.shot": (finite_float, 0.0),
+    "seed": (int, None),
+}
+
+
+def _take(values, path, key, cast, default=_REQUIRED):
     if key not in values:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"{path}: missing required key {key!r}")
         return default
-    raw, lineno = values.pop(key)
+    raw, lineno = values[key]
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
@@ -414,44 +404,20 @@ def _take(values, path, key, cast, default=None, required=False):
 def parse_run_config(path) -> RunConfig:
     """Parse a flat ``key = value`` run configuration file.
 
-    Recognized keys: mode, l (comma-separated), power_w, delta_phi_rad,
-    signal_freq_hz, signal_amp_rad, sample_rate, duration_s, band_lo_hz,
-    band_hi_hz, noise.phase_asd, noise.shot, seed.  Unknown keys are errors
-    (reported with the line number).
+    The keys, their casts and defaults are ``_CONFIG_TABLE``; floats must be
+    finite.  Unknown keys are errors (reported with the line number).
     """
     values = _parse_kv_lines(path)
     for key, (_, lineno) in values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-
-    def parse_l(raw: str) -> tuple[int, ...]:
-        return tuple(int(part.strip()) for part in raw.split(","))
-
-    mode = _take(values, path, "mode", str, required=True)
-    l_values = _take(values, path, "l", parse_l, required=True)
-    power_w = _take(values, path, "power_w", float, required=True)
-    delta_phi = _take(values, path, "delta_phi_rad", float, default=0.0)
-    freq = _take(values, path, "signal_freq_hz", float, required=True)
-    amp = _take(values, path, "signal_amp_rad", float, required=True)
-    rate = _take(values, path, "sample_rate", float, required=True)
-    duration = _take(values, path, "duration_s", float, required=True)
-    band_lo = _take(values, path, "band_lo_hz", float, default=DEFAULT_BAND[0])
-    band_hi = _take(values, path, "band_hi_hz", float, default=DEFAULT_BAND[1])
-    phase_asd = _take(values, path, "noise.phase_asd", float, default=0.0)
-    shot = _take(values, path, "noise.shot", float, default=0.0)
-    seed = _take(values, path, "seed", int, default=None)
+    v = {key: _take(values, path, key, *spec) for key, spec in _CONFIG_TABLE.items()}
+    # the remaining keys are RunConfig field names
     return RunConfig(
-        mode=mode,
-        l_values=l_values,
-        power_w=power_w,
-        delta_phi_rad=delta_phi,
-        signal_freq_hz=freq,
-        signal_amp_rad=amp,
-        sample_rate=rate,
-        duration_s=duration,
-        noise=NoiseSpec(phase_asd=phase_asd, shot=shot),
-        seed=seed,
-        band=(band_lo, band_hi),
+        l_values=v.pop("l"),
+        noise=NoiseSpec(phase_asd=v.pop("noise.phase_asd"), shot=v.pop("noise.shot")),
+        band=(v.pop("band_lo_hz"), v.pop("band_hi_hz")),
+        **v,
     )
 
 
@@ -460,8 +426,8 @@ def calibrated_noise() -> NoiseSpec:
     ref = resources.files("iqpe.data").joinpath("noise_calibration_v1.cfg")
     with resources.as_file(ref) as path:
         values = _parse_kv_lines(path)
-        phase_asd = _take(values, path, "noise.phase_asd", float, required=True)
-        shot = _take(values, path, "noise.shot", float, required=True)
+        phase_asd = _take(values, path, "noise.phase_asd", finite_float)
+        shot = _take(values, path, "noise.shot", finite_float)
     return NoiseSpec(phase_asd=phase_asd, shot=shot)
 
 
@@ -475,17 +441,16 @@ class ChannelRun(NamedTuple):
 
 
 def _run_single(cfg: RunConfig, l: int, stream_offset: int) -> ChannelRun:
-    signal = make_alpha_signal(cfg.signal_amp_rad, cfg.signal_freq_hz)
     record = synthesize_record(
         l=l,
-        alpha_signal=signal,
+        signal_amp_rad=cfg.signal_amp_rad,
+        signal_freq_hz=cfg.signal_freq_hz,
         delta_phi=cfg.delta_phi_rad,
         power_w=cfg.power_w,
         noise=cfg.noise,
         sample_rate=cfg.sample_rate,
         duration=cfg.duration_s,
         seed=cfg.seed if cfg.seed is not None else 0,
-        max_signal_freq_hz=cfg.signal_freq_hz if cfg.signal_freq_hz > 0 else None,
         stream_offset=stream_offset,
     )
     phi, flagged = demodulate_phase(record)
@@ -527,39 +492,20 @@ def run_spectrum_pipeline(cfg: RunConfig) -> SpectrumPipelineResult:
     return SpectrumPipelineResult(run, spectrum)
 
 
-def precision_vs_oam(
-    l_values: Sequence[int],
-    noise: NoiseSpec,
-    seed: int,
-    signal_amp_rad: float = 5.28e-8,
-    signal_freq_hz: float = 20e3,
-    power_w: float = 1e-3,
-    sample_rate: float = 60e3,
-    duration_s: float = 0.1,
-    band: tuple[float, float] = DEFAULT_BAND,
-) -> list[tuple[int, float]]:
+def precision_vs_oam(cfg: RunConfig, l_values: Sequence[int]) -> list[tuple[int, float]]:
     """Noise floor of the demodulated angle per OAM value, fixed noise budget.
 
-    Runs the full synthesize/demodulate/spectrum pipeline once per l with
-    independent noise streams; with a phase-noise-dominated budget the floor
-    scales as 1/l.
+    Runs the spectrum pipeline of ``cfg`` once per l (its own OAM value is
+    not used) with independent noise streams; with a phase-noise-dominated
+    budget the floor scales as 1/l.
     """
+    if cfg.mode != "spectrum":
+        raise ConfigError(f"noise-floor scan needs mode=spectrum, got {cfg.mode!r}")
     results = []
     for i, l in enumerate(l_values):
-        cfg = RunConfig(
-            mode="spectrum",
-            l_values=(int(l),),
-            power_w=power_w,
-            delta_phi_rad=0.0,
-            signal_freq_hz=signal_freq_hz,
-            signal_amp_rad=signal_amp_rad,
-            sample_rate=sample_rate,
-            duration_s=duration_s,
-            noise=noise,
-            seed=seed,
-            band=band,
-        )
+        if l < 1:
+            raise ConfigError(f"noise-floor scan takes OAM values >= 1, got {l}")
         run = _run_single(cfg, int(l), stream_offset=8 * i)
-        spectrum = amplitude_spectrum(run.alpha, sample_rate, band)
+        spectrum = amplitude_spectrum(run.alpha, cfg.sample_rate, cfg.band)
         results.append((int(l), spectrum.noise_floor))
     return results

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion
 lines; every tolerance below is pinned, nothing is calibrated at test time.
 """
 
+import dataclasses
 import math
 import time
 
@@ -211,8 +212,7 @@ def test_criterion_8_spectrum_reproduction():
     start = time.perf_counter()
     marker = em.pzt_rotation_amplitude(12e-3, 22e-9, 10e-3)
     record = em.synthesize_record(
-        150, em.make_alpha_signal(marker, 20e3), 0.0, 1e-3, em.NoiseSpec(), 60e3, 0.1,
-        seed=0,
+        150, marker, 20e3, 0.0, 1e-3, em.NoiseSpec(), 60e3, 0.1, seed=0
     )
     phi, _ = em.demodulate_phase(record)
     report = em.amplitude_spectrum(phi / 300.0, 60e3, (18e3, 28e3))
@@ -221,8 +221,13 @@ def test_criterion_8_spectrum_reproduction():
         and abs(report.signal_peak[1] - marker) <= 0.02 * marker
     )
     noise = em.calibrated_noise()
-    table = em.precision_vs_oam([50, 80, 100, 150], noise, seed=20260810,
-                                signal_amp_rad=marker)
+    scan = dataclasses.replace(
+        em.parse_run_config("configs/spectrum_l150.cfg"),
+        noise=noise,
+        seed=20260810,
+        signal_amp_rad=marker,
+    )
+    table = em.precision_vs_oam(scan, [50, 80, 100, 150])
     floors = np.array([floor for _, floor in table])
     floor_150 = floors[-1]
     floor_ok = abs(floor_150 - 12.9e-9) <= 0.15 * 12.9e-9

@@ -321,3 +321,80 @@ def test_console_script_runs(tmp_path):
 
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# outside numbers: checked where they enter, never written as NaN
+# ---------------------------------------------------------------------------
+
+
+def assert_no_non_finite_tokens(out_dir):
+    for path in out_dir.iterdir() if out_dir.exists() else ():
+        text = path.read_text()
+        assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), path.name
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["kerr", "--nbar", "nan"], "--nbar"),
+        (["kerr", "--nbar", "inf"], "--nbar"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "nan", "--seed", "1"], "--alpha-deg"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "inf",
+          "--seed", "1"], "--delta-phi-deg"),
+    ],
+)
+def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("power_w", "nan"),
+        ("power_w", "inf"),
+        ("duration_s", "0"),
+        ("sample_rate", "0"),
+        ("sample_rate", "-60e3"),
+    ],
+)
+def test_experiment_rejects_unusable_number(tmp_path, capsys, key, value):
+    text = Path(FIT_CONFIG).read_text()
+    config = tmp_path / "bad.cfg"
+    config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert_no_non_finite_tokens(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_rejects_non_finite_phase(tmp_path, capsys, value):
+    table = tmp_path / "phases.csv"
+    table.write_text(f"l,phi_rad\n1,0.1\n2,{value}\n3,0.3\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(table), "--out", str(out)]) == 1
+    assert f"{table}:3" in capsys.readouterr().err
+    assert_no_non_finite_tokens(out)
+
+
+def test_overflowing_power_writes_no_non_finite_artifact(tmp_path, capsys):
+    # finite inputs whose channels overflow: the run fails instead of
+    # writing alpha_hat_rad: NaN
+    text = Path(FIT_CONFIG).read_text()
+    config = tmp_path / "huge.cfg"
+    config.write_text(re.sub(r"^power_w = .*$", "power_w = 1e308", text, flags=re.MULTILINE))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert "record_l1.csv" in capsys.readouterr().err
+    assert_no_non_finite_tokens(out)
+
+
+def test_overflowing_fit_writes_no_nan(tmp_path, capsys):
+    table = tmp_path / "phases.csv"
+    table.write_text("l,phi_rad\n1,1e308\n2,-1e308\n3,1e308\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(table), "--out", str(out)]) == 2
+    assert "fit.json" in capsys.readouterr().err
+    assert_no_non_finite_tokens(out)

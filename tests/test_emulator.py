@@ -1,9 +1,12 @@
 """Detector pipeline: synthesis, demodulation, fit, spectrum, noise floors."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqpe.emulator import (
     VOLTS_PER_WATT,
@@ -14,7 +17,6 @@ from iqpe.emulator import (
     calibrated_noise,
     demodulate_phase,
     fit_oam_series,
-    make_alpha_signal,
     parse_run_config,
     precision_vs_oam,
     pzt_rotation_amplitude,
@@ -25,12 +27,18 @@ from iqpe.emulator import (
 from iqpe.statekit import ContractViolation
 
 SILENT = NoiseSpec()
+SPECTRUM_CONFIG = "configs/spectrum_l150.cfg"
+FIT_CONFIG = "configs/static_fit_six_l.cfg"
 
 
 def synth(l, alpha_rad, delta_phi=0.0, power=1e-3, noise=SILENT, rate=60e3, dur=0.1, seed=0):
-    return synthesize_record(
-        l, make_alpha_signal(alpha_rad, 0.0), delta_phi, power, noise, rate, dur, seed
-    )
+    return synthesize_record(l, alpha_rad, 0.0, delta_phi, power, noise, rate, dur, seed)
+
+
+def floor_scan(l_values, **changes):
+    """precision_vs_oam over the shipped spectrum geometry with ``changes``."""
+    cfg = dataclasses.replace(parse_run_config(SPECTRUM_CONFIG), **changes)
+    return precision_vs_oam(cfg, l_values)
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +65,26 @@ def test_synthesis_static_ratio():
 
 
 def test_synthesis_record_length():
-    record = synthesize_record(
-        150, make_alpha_signal(1e-8, 20e3), 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0,
-        max_signal_freq_hz=20e3,
-    )
+    record = synthesize_record(150, 1e-8, 20e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
     assert record.ch1.size == 6000 and record.ch2.size == 6000
     assert np.all(record.ch1 >= 0.0) and np.all(record.ch2 >= 0.0)
 
 
 def test_synthesis_nyquist_guard():
-    with pytest.raises(ContractViolation):
-        synthesize_record(
-            1, make_alpha_signal(1e-8, 40e3), 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0,
-            max_signal_freq_hz=40e3,
-        )
+    with pytest.raises(ContractViolation, match="Nyquist"):
+        synthesize_record(1, 1e-8, 40e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
+
+
+def test_synthesis_rejects_negative_frequency():
+    with pytest.raises(ConfigError, match="frequency"):
+        synthesize_record(1, 1e-8, -20e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
 
 
 def test_detector_record_length_contract():
-    with pytest.raises(ContractViolation):
-        DetectorRecord(60e3, 0.1, np.zeros(10), np.zeros(10))
+    with pytest.raises(ContractViolation, match="equal length"):
+        DetectorRecord(60e3, np.zeros(10), np.zeros(11))
+    with pytest.raises(ContractViolation, match="1-d"):
+        DetectorRecord(60e3, np.zeros((2, 5)), np.zeros((2, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +100,7 @@ def test_demodulation_balanced_is_zero():
 
 def test_demodulation_one_sided_is_quarter_turn():
     n = 6000
-    record = DetectorRecord(60e3, 0.1, np.full(n, 2.0), np.zeros(n))
+    record = DetectorRecord(60e3, np.full(n, 2.0), np.zeros(n))
     phi, _ = demodulate_phase(record)
     assert np.allclose(phi, math.pi / 2.0)
 
@@ -109,7 +118,7 @@ def test_demodulation_flags_dead_samples():
     ch1[7] = 0.0
     ch2 = np.ones(6000)
     ch2[7] = 0.0
-    phi, flagged = demodulate_phase(DetectorRecord(60e3, 0.1, ch1, ch2))
+    phi, flagged = demodulate_phase(DetectorRecord(60e3, ch1, ch2))
     assert list(flagged) == [7]
     assert np.isnan(phi[7]) and np.isfinite(phi[8])
 
@@ -117,10 +126,7 @@ def test_demodulation_flags_dead_samples():
 def test_round_trip_recovers_phase():
     l, delta_phi = 12, 0.05
     amp = 1.2 / (2 * l)  # peak |Phi| ~ 1.25 rad < pi/2
-    record = synthesize_record(
-        l, make_alpha_signal(amp, 200.0), delta_phi, 1e-3, SILENT, 60e3, 0.1, seed=0,
-        max_signal_freq_hz=200.0,
-    )
+    record = synthesize_record(l, amp, 200.0, delta_phi, 1e-3, SILENT, 60e3, 0.1, seed=0)
     phi, _ = demodulate_phase(record)
     t = record.times()
     expected = 2 * l * amp * np.sin(2 * np.pi * 200.0 * t) + delta_phi
@@ -155,8 +161,7 @@ def test_fit_noisy_data_keeps_high_r_square():
     means = []
     for i, l in enumerate((1, 4, 7, 10, 20, 30)):
         record = synthesize_record(
-            l, make_alpha_signal(alpha, 0.0), offset, 1e-3, noise, 60e3, 0.1,
-            seed=13, stream_offset=8 * i,
+            l, alpha, 0.0, offset, 1e-3, noise, 60e3, 0.1, seed=13, stream_offset=8 * i
         )
         phi, _ = demodulate_phase(record)
         means.append((l, float(np.mean(phi))))
@@ -235,9 +240,7 @@ def test_spectrum_peak_power_invariant():
     # demodulation is ratiometric: the absolute power level cancels
     peaks = []
     for power in (1e-4, 1e-2):
-        record = synthesize_record(
-            50, make_alpha_signal(5.28e-8, 20e3), 0.0, power, SILENT, 60e3, 0.1, seed=0,
-        )
+        record = synthesize_record(50, 5.28e-8, 20e3, 0.0, power, SILENT, 60e3, 0.1, seed=0)
         phi, _ = demodulate_phase(record)
         report = amplitude_spectrum(phi / 100.0, 60e3, (18e3, 28e3))
         peaks.append(report.signal_peak[1])
@@ -250,17 +253,17 @@ def test_spectrum_peak_power_invariant():
 
 
 def test_floor_single_l():
-    table = precision_vs_oam([80], NoiseSpec(phase_asd=1e-6), seed=1)
+    table = floor_scan([80], noise=NoiseSpec(phase_asd=1e-6), seed=1)
     assert len(table) == 1 and table[0][0] == 80
 
 
 def test_floor_halves_when_l_doubles():
-    table = precision_vs_oam([50, 100], NoiseSpec(phase_asd=1e-6), seed=2)
+    table = floor_scan([50, 100], noise=NoiseSpec(phase_asd=1e-6), seed=2)
     assert table[0][1] / table[1][1] == pytest.approx(2.0, rel=0.1)
 
 
 def test_floor_slope_phase_noise():
-    table = precision_vs_oam([50, 80, 100, 150], NoiseSpec(phase_asd=1e-6), seed=3)
+    table = floor_scan([50, 80, 100, 150], noise=NoiseSpec(phase_asd=1e-6), seed=3)
     floors = np.array([floor for _, floor in table])
     assert np.all(np.diff(floors) < 0.0)
     slope = np.polyfit(np.log([50, 80, 100, 150]), np.log(floors), 1)[0]
@@ -268,12 +271,17 @@ def test_floor_slope_phase_noise():
 
 
 def test_floor_slope_shot_noise():
-    table = precision_vs_oam(
-        [50, 80, 100, 150], NoiseSpec(shot=1.0), seed=4, power_w=1e-6
-    )
+    table = floor_scan([50, 80, 100, 150], noise=NoiseSpec(shot=1.0), seed=4, power_w=1e-6)
     floors = np.array([floor for _, floor in table])
     slope = np.polyfit(np.log([50, 80, 100, 150]), np.log(floors), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.15)
+
+
+def test_floor_scan_needs_spectrum_config():
+    with pytest.raises(ConfigError, match="mode=spectrum"):
+        precision_vs_oam(parse_run_config(FIT_CONFIG), [50])
+    with pytest.raises(ConfigError, match=">= 1"):
+        floor_scan([50, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +289,30 @@ def test_floor_slope_shot_noise():
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=150), min_size=3, max_size=8, unique=True),
+    st.floats(min_value=-0.1, max_value=0.1),
+    st.floats(min_value=0.0, max_value=1.4),
+)
+def test_noiseless_fit_over_config_range(l_values, delta_phi, top_phase):
+    # the largest phase 2*max(l)*alpha + delta_phi is top_phase, below the
+    # arcsin fold at pi/2, so every sample demodulates to its true phase
+    alpha = (top_phase - delta_phi) / (2.0 * max(l_values))
+    cfg = dataclasses.replace(
+        parse_run_config(FIT_CONFIG),
+        l_values=tuple(l_values),
+        delta_phi_rad=delta_phi,
+        signal_amp_rad=alpha,
+    )
+    result = run_fit_pipeline(cfg)
+    for run in result.runs:
+        assert np.max(np.abs(run.phi - (2 * run.l * alpha + delta_phi))) < 1e-12
+    assert result.fit.alpha_hat == pytest.approx(alpha, rel=1e-9, abs=1e-12)
+
+
 def test_parse_shipped_fit_config():
-    cfg = parse_run_config("configs/static_fit_six_l.cfg")
+    cfg = parse_run_config(FIT_CONFIG)
     assert cfg.mode == "fit"
     assert cfg.l_values == (1, 4, 7, 10, 20, 30)
     result = run_fit_pipeline(cfg)
@@ -291,7 +321,7 @@ def test_parse_shipped_fit_config():
 
 
 def test_parse_shipped_spectrum_config():
-    cfg = parse_run_config("configs/spectrum_l150.cfg")
+    cfg = parse_run_config(SPECTRUM_CONFIG)
     assert cfg.mode == "spectrum" and cfg.l_values == (150,)
     assert cfg.noise.phase_asd == calibrated_noise().phase_asd
     result = run_spectrum_pipeline(cfg)
