@@ -38,6 +38,9 @@ __all__ = ["main"]
 
 DEAD_ZONE_THRESHOLD = 1e-9
 
+# Rows per CSV formatting block: bounds the cell strings held at once.
+_CSV_BLOCK_ROWS = 256
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; route them through
@@ -81,12 +84,38 @@ def _write_json(out: _OutDir, name: str, payload: dict, schema_name: str) -> Non
 
 
 def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
+    """Each cell as ``%.17g``, at the cost of the distinct values of a block.
+
+    The rows go ``_CSV_BLOCK_ROWS`` at a time.  In a block, a column with
+    repeated values has each distinct value formatted once and its cells
+    looked up; one whose values are all distinct is formatted by the row's
+    single ``%`` operation.  Values are told apart by their bits, so -0.0
+    and 0.0 stay ``-0`` and ``0``.  The lookup is a dict, not ``np.unique``,
+    whose sort kernels would add their pages to every run's peak RSS.  Each
+    block is joined into one bytes chunk, so only one block of cell strings
+    is held at a time and the file is built without a text copy.
+    """
     if not np.isfinite(np.asarray(columns, dtype=float)).all():
         raise ContractViolation(f"{name} would hold a non-finite value")
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
-    _put(out, name, ("\n".join(lines) + "\n").encode("ascii"))
+    chunks = [header.encode("ascii")]
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        fields, formats = [], []
+        for column in columns:
+            block = np.asarray(column[start : start + _CSV_BLOCK_ROWS], dtype=float)
+            values = block.tolist()
+            bits = block.view(np.int64).tolist()
+            distinct = dict(zip(bits, values))
+            if len(distinct) < len(values):
+                text = {b: b"%.17g" % v for b, v in distinct.items()}
+                fields.append(map(text.__getitem__, bits))
+                formats.append(b"%s")
+            else:
+                fields.append(values)
+                formats.append(b"%.17g")
+        row = b",".join(formats)
+        chunks.append(b"\n".join([row % cells for cells in zip(*fields)]))
+    chunks.append(b"")  # the trailing newline
+    _put(out, name, b"\n".join(chunks))
 
 
 def _write_manifest(
@@ -176,6 +205,16 @@ def _cmd_rotation_sim(args) -> None:
     out_dir = _prepare_out(args.out)
     proto = protocol.RotationProtocol(args.l, math.radians(args.delta_phi_deg))
     alpha_true = math.radians(args.alpha_deg)
+    # the arcsin readout identifies alpha only while |2*l*alpha + delta_phi| < pi/2
+    if not abs(2.0 * args.l * alpha_true + proto.delta_phi) < math.pi / 2.0:
+        lo, hi = (
+            math.degrees((edge - proto.delta_phi) / (2.0 * args.l))
+            for edge in (-math.pi / 2.0, math.pi / 2.0)
+        )
+        raise ConfigError(
+            f"--alpha-deg {args.alpha_deg} cannot be identified at l={args.l}, "
+            f"delta_phi={args.delta_phi_deg} deg: it must lie in ({lo:.9g}, {hi:.9g}) deg"
+        )
     mean, stddev = protocol.monte_carlo_precision(
         proto, alpha_true, args.nu, args.trials, args.seed
     )

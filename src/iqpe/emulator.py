@@ -365,6 +365,23 @@ def finite_float(raw: str) -> float:
     return value
 
 
+def _ranged(cast, in_range, rule: str):
+    """``cast``, raising ValueError as well when ``in_range(value)`` is false."""
+
+    def checked(raw: str):
+        value = cast(raw)
+        if not in_range(value):
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
+
+    return checked
+
+
+_nonnegative_float = _ranged(finite_float, lambda v: v >= 0.0, ">= 0")
+_positive_float = _ranged(finite_float, lambda v: v > 0.0, "> 0")
+_nonnegative_int = _ranged(int, lambda v: v >= 0, ">= 0")
+
+
 def _oam_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(","))
 
@@ -375,17 +392,17 @@ _REQUIRED = object()
 _CONFIG_TABLE = {
     "mode": (str, _REQUIRED),
     "l": (_oam_list, _REQUIRED),
-    "power_w": (finite_float, _REQUIRED),
+    "power_w": (_positive_float, _REQUIRED),
     "delta_phi_rad": (finite_float, 0.0),
-    "signal_freq_hz": (finite_float, _REQUIRED),
+    "signal_freq_hz": (_nonnegative_float, _REQUIRED),
     "signal_amp_rad": (finite_float, _REQUIRED),
     "sample_rate": (finite_float, _REQUIRED),
     "duration_s": (finite_float, _REQUIRED),
-    "band_lo_hz": (finite_float, DEFAULT_BAND[0]),
+    "band_lo_hz": (_nonnegative_float, DEFAULT_BAND[0]),
     "band_hi_hz": (finite_float, DEFAULT_BAND[1]),
-    "noise.phase_asd": (finite_float, 0.0),
-    "noise.shot": (finite_float, 0.0),
-    "seed": (int, None),
+    "noise.phase_asd": (_nonnegative_float, 0.0),
+    "noise.shot": (_nonnegative_float, 0.0),
+    "seed": (_nonnegative_int, None),
 }
 
 
@@ -405,13 +422,20 @@ def parse_run_config(path) -> RunConfig:
     """Parse a flat ``key = value`` run configuration file.
 
     The keys, their casts and defaults are ``_CONFIG_TABLE``; floats must be
-    finite.  Unknown keys are errors (reported with the line number).
+    finite, and each cast also checks its key's range.  Unknown keys and
+    out-of-range values are errors (reported with the key and line number).
     """
     values = _parse_kv_lines(path)
     for key, (_, lineno) in values.items():
         if key not in _CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     v = {key: _take(values, path, key, *spec) for key, spec in _CONFIG_TABLE.items()}
+    if not v["band_lo_hz"] < v["band_hi_hz"]:
+        lines = ",".join(str(values[k][1]) for k in ("band_lo_hz", "band_hi_hz") if k in values)
+        raise ConfigError(
+            f"{path}:{lines}: 'band_lo_hz' ({v['band_lo_hz']}) must be below "
+            f"'band_hi_hz' ({v['band_hi_hz']})"
+        )
     # the remaining keys are RunConfig field names
     return RunConfig(
         l_values=v.pop("l"),
@@ -426,8 +450,8 @@ def calibrated_noise() -> NoiseSpec:
     ref = resources.files("iqpe.data").joinpath("noise_calibration_v1.cfg")
     with resources.as_file(ref) as path:
         values = _parse_kv_lines(path)
-        phase_asd = _take(values, path, "noise.phase_asd", finite_float)
-        shot = _take(values, path, "noise.shot", finite_float)
+        phase_asd = _take(values, path, "noise.phase_asd", _nonnegative_float)
+        shot = _take(values, path, "noise.shot", _nonnegative_float)
     return NoiseSpec(phase_asd=phase_asd, shot=shot)
 
 

@@ -148,6 +148,24 @@ def test_rotation_sim_requires_seed(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "alpha_deg",
+    [
+        "1",    # past the fold: the clamped arcsin read 0.01396 against a truth of 0.01745
+        "0.9",  # on the fold: every trial saturates and the spread collapses to 0
+    ],
+)
+def test_rotation_sim_refuses_unidentifiable_angle(tmp_path, capsys, alpha_deg):
+    out = tmp_path / "sim"
+    code = main(["rotation-sim", "--l", "50", "--alpha-deg", alpha_deg, "--trials", "1000",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--alpha-deg" in err
+    assert "(-0.9, 0.9) deg" in err
+    assert not (out / "rotation_sim.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
@@ -367,6 +385,44 @@ def test_experiment_rejects_unusable_number(tmp_path, capsys, key, value):
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
     assert key in capsys.readouterr().err
     assert_no_non_finite_tokens(out)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("noise.phase_asd", "-1"),
+        ("noise.shot", "-0.5"),
+        ("power_w", "0"),
+        ("power_w", "-1e-3"),
+        ("seed", "-1"),
+        ("signal_freq_hz", "-20e3"),
+        ("band_lo_hz", "-1"),
+    ],
+)
+def test_experiment_out_of_range_value_names_key_and_line(tmp_path, capsys, key, value):
+    lines = Path(SPECTRUM_CONFIG).read_text().splitlines()
+    lineno = next(k for k, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {value}"
+    config = tmp_path / "bad.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:{lineno}:" in err
+    assert repr(key) in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_experiment_inverted_band_names_both_keys(tmp_path, capsys):
+    text = Path(SPECTRUM_CONFIG).read_text()
+    config = tmp_path / "bad.cfg"
+    config.write_text(re.sub(r"^band_lo_hz = .*$", "band_lo_hz = 29e3", text, flags=re.MULTILINE))
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:" in err
+    assert "'band_lo_hz'" in err and "'band_hi_hz'" in err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
