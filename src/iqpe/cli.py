@@ -149,28 +149,29 @@ def _prepare_out(raw: str) -> _OutDir:
 def _cmd_qfi_map(args) -> None:
     out_dir = _prepare_out(args.out)
     if args.scenario == "birefringence":
-        rows = scenarios.birefringence_qfi_map(args.resolution)
+        if args.order_n is not None:
+            raise ConfigError("--order-n applies only to the rotation scenario")
+        records = scenarios.birefringence_qfi_map(args.resolution)
     else:
         if args.order_n is None:
             raise ConfigError("--order-n is required for the rotation scenario")
-        rows = scenarios.rotation_qfi_map(args.order_n, args.resolution)
-    theta, phi, sqpe, iqpe_vals = zip(*rows)
-    dead = [row for row in rows if row.qfi_sqpe < DEAD_ZONE_THRESHOLD]
-    _write_csv(
-        out_dir, "map.csv", "theta,phi,qfi_sqpe,qfi_iqpe", (theta, phi, sqpe, iqpe_vals)
-    )
+        records = scenarios.rotation_qfi_map(args.order_n, args.resolution)
+    names = records.dtype.names
+    _write_csv(out_dir, "map.csv", ",".join(names), [records[name] for name in names])
+    sqpe, iqpe_vals = records["qfi_sqpe"], records["qfi_iqpe"]
+    dead = records[sqpe < DEAD_ZONE_THRESHOLD]
     summary = {
         "scenario": args.scenario,
         "order_n": args.order_n,
         "resolution": args.resolution,
-        "qfi_sqpe_min": min(sqpe),
-        "qfi_sqpe_max": max(sqpe),
-        "qfi_iqpe_min": min(iqpe_vals),
-        "qfi_iqpe_max": max(iqpe_vals),
+        "qfi_sqpe_min": float(sqpe.min()),
+        "qfi_sqpe_max": float(sqpe.max()),
+        "qfi_iqpe_min": float(iqpe_vals.min()),
+        "qfi_iqpe_max": float(iqpe_vals.max()),
         "dead_zone": {
             "threshold": DEAD_ZONE_THRESHOLD,
             "count": len(dead),
-            "points": [{"theta": row.theta, "phi": row.phi} for row in dead],
+            "points": [{"theta": t, "phi": p} for t, p in dead[["theta", "phi"]].tolist()],
         },
     }
     _write_json(out_dir, "summary.json", summary, "qfi_map_summary.v1.json")
@@ -332,38 +333,57 @@ def _cmd_fit(args) -> None:
     _write_manifest(out_dir, "fit", str(args.input), None, {"n_points": len(measurements)})
 
 
+def _flag(cast):
+    """``cast`` as an argparse type; argparse would drop a ValueError's rule."""
+
+    def checked(raw: str):
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
+
+
+def _int_in(low: int, high: float = math.inf):
+    rule = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    return _flag(emulator._ranged(int, lambda v: low <= v <= high, rule))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iqpe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_map = sub.add_parser("qfi-map", help="QFI maps over a sphere grid")
     p_map.add_argument("--scenario", required=True, choices=["birefringence", "rotation"])
-    p_map.add_argument("--order-n", type=int, default=None, help="mode order (rotation)")
-    p_map.add_argument("--resolution", type=int, default=32)
+    p_map.add_argument("--order-n", type=_int_in(0, scenarios.MAX_LADDER_ORDER), default=None,
+                       help="mode order (rotation)")
+    p_map.add_argument("--resolution", type=_int_in(2), default=32)
     p_map.add_argument("--out", required=True)
     p_map.set_defaults(func=_cmd_qfi_map)
 
     p_kerr = sub.add_parser("kerr", help="coherent-probe phase-shift QFI pair")
-    p_kerr.add_argument("--nbar", type=emulator.finite_float, required=True)
+    p_kerr.add_argument("--nbar", type=_flag(emulator._nonnegative_float), required=True)
     p_kerr.add_argument("--truncation", type=int, default=None)
     p_kerr.add_argument("--out", required=True)
     p_kerr.set_defaults(func=_cmd_kerr)
 
     p_sim = sub.add_parser("rotation-sim", help="Monte-Carlo estimator precision")
-    p_sim.add_argument("--l", type=int, required=True, help="OAM value")
+    p_sim.add_argument("--l", type=_int_in(1), required=True, help="OAM value")
     p_sim.add_argument(
         "--alpha-deg", type=emulator.finite_float, required=True, help="true angle, degrees"
     )
     p_sim.add_argument("--delta-phi-deg", type=emulator.finite_float, default=0.0)
-    p_sim.add_argument("--nu", type=int, default=10**6, help="photons per trial")
-    p_sim.add_argument("--trials", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--nu", type=_int_in(protocol.MIN_NU), default=10**6,
+                       help="photons per trial")
+    p_sim.add_argument("--trials", type=_int_in(protocol.MIN_TRIALS), default=10_000)
+    p_sim.add_argument("--seed", type=_int_in(0), required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_rotation_sim)
 
     p_exp = sub.add_parser("experiment", help="full detector pipeline from a config file")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_exp.add_argument("--seed", type=_int_in(0), default=None, help="override the config seed")
     p_exp.add_argument("--out", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
 

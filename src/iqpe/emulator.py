@@ -396,7 +396,7 @@ _CONFIG_TABLE = {
     "delta_phi_rad": (finite_float, 0.0),
     "signal_freq_hz": (_nonnegative_float, _REQUIRED),
     "signal_amp_rad": (finite_float, _REQUIRED),
-    "sample_rate": (finite_float, _REQUIRED),
+    "sample_rate": (_positive_float, _REQUIRED),
     "duration_s": (finite_float, _REQUIRED),
     "band_lo_hz": (_nonnegative_float, DEFAULT_BAND[0]),
     "band_hi_hz": (finite_float, DEFAULT_BAND[1]),
@@ -418,6 +418,11 @@ def _take(values, path, key, cast, default=_REQUIRED):
         raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
 
 
+def _lines(values, *keys) -> str:
+    """The line numbers of those ``keys`` the file sets, comma-separated."""
+    return ",".join(str(values[k][1]) for k in keys if k in values)
+
+
 def parse_run_config(path) -> RunConfig:
     """Parse a flat ``key = value`` run configuration file.
 
@@ -430,11 +435,17 @@ def parse_run_config(path) -> RunConfig:
         if key not in _CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     v = {key: _take(values, path, key, *spec) for key, spec in _CONFIG_TABLE.items()}
-    if not v["band_lo_hz"] < v["band_hi_hz"]:
-        lines = ",".join(str(values[k][1]) for k in ("band_lo_hz", "band_hi_hz") if k in values)
+    lo, hi, nyquist = v["band_lo_hz"], v["band_hi_hz"], v["sample_rate"] / 2.0
+    if not lo < hi:
         raise ConfigError(
-            f"{path}:{lines}: 'band_lo_hz' ({v['band_lo_hz']}) must be below "
-            f"'band_hi_hz' ({v['band_hi_hz']})"
+            f"{path}:{_lines(values, 'band_lo_hz', 'band_hi_hz')}: 'band_lo_hz' ({lo}) "
+            f"must be below 'band_hi_hz' ({hi})"
+        )
+    # a fit run takes no spectrum, so only a spectrum run is held to Nyquist
+    if v["mode"] == "spectrum" and not hi <= nyquist:
+        raise ConfigError(
+            f"{path}:{_lines(values, 'band_hi_hz', 'sample_rate')}: 'band_hi_hz' ({hi}) "
+            f"must not exceed the Nyquist frequency 'sample_rate'/2 ({nyquist})"
         )
     # the remaining keys are RunConfig field names
     return RunConfig(

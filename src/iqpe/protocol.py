@@ -43,6 +43,10 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 # Outcome probabilities closer than this to 0 or 1 are treated as degenerate.
 DEGENERATE_PROB_TOL = 1e-12
 
+# Fewest trials, and fewest photons per trial, of a Monte Carlo run.
+MIN_TRIALS = 100
+MIN_NU = 1000
+
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed on (seed, stream): reproducible, order-free."""
@@ -174,31 +178,28 @@ def monte_carlo_precision(
     nu: int,
     trials: int,
     seed: int,
-    statistics: str = "binomial",
 ) -> tuple[float, float]:
     """Sampled estimator mean and standard deviation at a true rotation angle.
 
-    Each trial draws nu photons split between the two channels (binomial by
-    default; ``statistics="poisson"`` draws the two channel counts as
-    independent Poisson variables of the same means) and applies
-    estimate_alpha.  Trial i uses the Philox stream keyed (seed, i), so
-    results do not depend on evaluation order.
+    Each trial splits nu photons binomially between the two channels and
+    applies estimate_alpha.  Trial i uses the Philox stream keyed (seed, i),
+    so results do not depend on evaluation order.  The arcsin readout
+    identifies alpha only while |2*l*alpha + delta_phi| < pi/2; past that
+    fold the estimates are of another angle, so the run is refused.
     """
-    if trials < 100:
-        raise ContractViolation(f"trials must be >= 100, got {trials}")
-    if nu < 1000:
-        raise ContractViolation(f"nu must be >= 1000, got {nu}")
-    if statistics not in ("binomial", "poisson"):
-        raise ContractViolation(f"unknown statistics model {statistics!r}")
+    if trials < MIN_TRIALS:
+        raise ContractViolation(f"trials must be >= {MIN_TRIALS}, got {trials}")
+    if nu < MIN_NU:
+        raise ContractViolation(f"nu must be >= {MIN_NU}, got {nu}")
+    total_phase = 2.0 * proto.oam_l * alpha_true + proto.delta_phi
+    if not abs(total_phase) < math.pi / 2.0:
+        raise ContractViolation(
+            f"alpha={alpha_true} cannot be identified: |2*l*alpha + delta_phi| = "
+            f"{abs(total_phase)!r} is not below pi/2"
+        )
     p_l, _ = projection_probabilities(proto, alpha_true)
     estimates = np.empty(trials)
     for i, rng in enumerate(_trial_rngs(seed, range(trials))):
-        if statistics == "binomial":
-            n_l = int(rng.binomial(nu, p_l))
-            record = ShotRecord(n_l, nu - n_l)
-        else:
-            n_l = int(rng.poisson(nu * p_l))
-            n_r = int(rng.poisson(nu * (1.0 - p_l)))
-            record = ShotRecord(n_l, n_r)
-        estimates[i] = estimate_alpha(record, proto)
+        n_l = int(rng.binomial(nu, p_l))
+        estimates[i] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
     return float(np.mean(estimates)), float(np.std(estimates, ddof=1))

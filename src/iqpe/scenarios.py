@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +36,10 @@ from .statekit import (
 from .tolerances import STRUCTURAL_TOL
 
 __all__ = [
+    "SPHERE_MAP_DTYPE",
     "SpherePoint",
     "ModalLadder",
     "LgFieldSample",
-    "SphereMapRow",
     "stokes_operators",
     "polarization_state",
     "birefringence_qfi_map",
@@ -53,7 +52,6 @@ __all__ = [
     "kerr_truncation",
     "lg_field",
     "field_rotation_check",
-    "sphere_grid",
     "save_lg_field",
     "load_lg_field",
 ]
@@ -68,6 +66,10 @@ COHERENT_TAIL_TOL = 1e-12
 # the peak (aliasing guard for the rotation resampling check).
 LG_BOUNDARY_INTENSITY_RATIO = 1e-8
 
+# A sphere map's record per grid point: its angles and the QFI of the
+# standard (sqpe) and switched (iqpe) procedures there.
+SPHERE_MAP_DTYPE = np.dtype([(name, float) for name in ("theta", "phi", "qfi_sqpe", "qfi_iqpe")])
+
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -80,13 +82,6 @@ class SpherePoint:
         if not (0.0 <= self.theta <= math.pi):
             raise ContractViolation(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-
-
-class SphereMapRow(NamedTuple):
-    theta: float
-    phi: float
-    qfi_sqpe: float
-    qfi_iqpe: float
 
 
 @dataclass(frozen=True)
@@ -194,21 +189,19 @@ def polarization_state(pt: SpherePoint) -> PureState:
     return PureState(amps, "RL")
 
 
-def _grid_axes(resolution: int) -> tuple[np.ndarray, list[float]]:
+def _grid_axes(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid's ``resolution`` thetas over [0, pi] (inclusive) and its
-    ``2*resolution`` phis over [0, 2*pi), each phi as SpherePoint stores it."""
+    ``2*resolution`` phis over [0, 2*pi)."""
     if resolution < 2:
         raise ContractViolation(f"resolution must be >= 2, got {resolution}")
     thetas = np.linspace(0.0, math.pi, resolution)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
-    return thetas, [float(p) % (2.0 * math.pi) for p in phis]
+    return thetas, phis
 
 
-def sphere_grid(resolution: int) -> list[SpherePoint]:
-    """Equiangular grid: ``resolution`` thetas over [0, pi] (inclusive) by
-    ``2*resolution`` phis over [0, 2*pi)."""
-    thetas, phis = _grid_axes(resolution)
-    return [SpherePoint(t, p) for t in thetas for p in phis]
+def _sin_sq(thetas: np.ndarray) -> np.ndarray:
+    # math.sin per theta: a vectorised np.sin may round differently by platform
+    return np.array([math.sin(theta) ** 2 for theta in thetas])
 
 
 def _cross_check(label, thetas, phis, closed, engine, rtol, atol):
@@ -242,36 +235,43 @@ def _check_normalized(block: np.ndarray, label: str) -> None:
         )
 
 
-def birefringence_qfi_map(grid_resolution: int) -> list[SphereMapRow]:
+def _sphere_map(label, thetas, phis, closed, engine, rtol, atol) -> np.ndarray:
+    """Cross-check the (standard, switched) ``closed`` forms against their
+    ``engine`` arrays, then the map: a ``SPHERE_MAP_DTYPE`` record per grid
+    point, theta-major."""
+    _cross_check(f"{label} standard QFI", thetas, phis, closed[0], engine[0], rtol, atol)
+    _cross_check(f"{label} switched QFI", thetas, phis, closed[1], engine[1], rtol, atol)
+    records = np.empty((thetas.size, phis.size), dtype=SPHERE_MAP_DTYPE)
+    records["theta"] = thetas[:, None]
+    records["phi"] = phis
+    records["qfi_sqpe"] = closed[0]
+    records["qfi_iqpe"] = closed[1]
+    return records.reshape(-1)
+
+
+def birefringence_qfi_map(grid_resolution: int) -> np.ndarray:
     """QFI of the birefringent phase over the polarization sphere.
 
     Closed forms: 4 - 4 sin^2(theta) cos^2(phi) for the standard procedure
     and a flat 4 for the switched one.  Every grid point is cross-checked
-    against the generic engine within 1e-8.
+    against the generic engine within 1e-8.  Returns ``SPHERE_MAP_DTYPE``
+    records, theta-major.
     """
     s1, _, _ = stokes_operators()
     thetas, phis = _grid_axes(grid_resolution)
-    rows = []
-    closed_s = np.empty((thetas.size, len(phis)))
-    for k, theta in enumerate(thetas):
-        sin_sq = math.sin(theta) ** 2
-        values = [4.0 - 4.0 * sin_sq * math.cos(phi) ** 2 for phi in phis]
-        closed_s[k] = values
-        rows.extend(SphereMapRow(theta, phi, q, 4.0) for phi, q in zip(phis, values))
+    cos_sq = np.array([math.cos(phi) ** 2 for phi in phis])
+    closed_s = 4.0 - 4.0 * _sin_sq(thetas)[:, None] * cos_sq
     # cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> at every grid point
     half = thetas / 2.0
-    states = np.empty((thetas.size, len(phis), 2), dtype=np.complex128)
+    states = np.empty((thetas.size, phis.size, 2), dtype=np.complex128)
     states[..., 0] = np.cos(half)[:, None]
-    states[..., 1] = np.sin(half)[:, None] * np.exp(1j * np.asarray(phis))
+    states[..., 1] = np.sin(half)[:, None] * np.exp(1j * phis)
     block = states.reshape(-1, 2)
     _check_normalized(block, "polarization state")
     engine_s, engine_i = qfi_batch(block, s1.entries)
     shape = closed_s.shape
-    _cross_check("birefringence standard QFI", thetas, phis, closed_s,
-                 engine_s.reshape(shape), 0.0, 1e-8)
-    _cross_check("birefringence switched QFI", thetas, phis, 4.0,
-                 engine_i.reshape(shape), 0.0, 1e-8)
-    return rows
+    return _sphere_map("birefringence", thetas, phis, (closed_s, 4.0),
+                       (engine_s.reshape(shape), engine_i.reshape(shape)), 0.0, 1e-8)
 
 
 def modal_ladder(order_N: int) -> ModalLadder:
@@ -287,7 +287,7 @@ def hlg_state(ladder: ModalLadder, l: int, pt: SpherePoint) -> PureState:
 
 
 def _rotation_engine(
-    ladder: ModalLadder, thetas: np.ndarray, phis: list[float]
+    ladder: ModalLadder, thetas: np.ndarray, phis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Engine QFIs of the top-OAM mode rotated to every (theta, phi) point.
 
@@ -312,29 +312,23 @@ def _rotation_engine(
     return engine_s, engine_i
 
 
-def rotation_qfi_map(order_N: int, grid_resolution: int) -> list[SphereMapRow]:
+def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
     """QFI of the rotation angle over the modal sphere, top-OAM start mode.
 
     Closed forms for the l=N start state: 4 N sin^2(theta) and
     4 N^2 cos^2(theta) + 4 N sin^2(theta).  Each grid point is cross-checked
-    against the matrix engine within 1e-6 relative.  Other start modes have
-    no closed form here; use the engine directly for those.
+    against the matrix engine within 1e-6 relative.  Returns
+    ``SPHERE_MAP_DTYPE`` records, theta-major.  Other start modes have no
+    closed form here; use the engine directly for those.
     """
     ladder = modal_ladder(order_N)
     thetas, phis = _grid_axes(grid_resolution)
     n = float(order_N)
-    rows = []
-    closed = np.empty((thetas.size, 2))
-    for k, theta in enumerate(thetas):
-        sin_sq = math.sin(theta) ** 2
-        closed_s = 4.0 * n * sin_sq
-        closed_i = 4.0 * n * n * (1.0 - sin_sq) + 4.0 * n * sin_sq
-        closed[k] = closed_s, closed_i
-        rows.extend(SphereMapRow(theta, phi, closed_s, closed_i) for phi in phis)
-    engine_s, engine_i = _rotation_engine(ladder, thetas, phis)
-    _cross_check("rotation standard QFI", thetas, phis, closed[:, :1], engine_s, 1e-6, 1e-8)
-    _cross_check("rotation switched QFI", thetas, phis, closed[:, 1:], engine_i, 1e-6, 1e-8)
-    return rows
+    sin_sq = _sin_sq(thetas)[:, None]
+    closed_s = 4.0 * n * sin_sq
+    closed_i = 4.0 * n * n * (1.0 - sin_sq) + 4.0 * n * sin_sq
+    engine = _rotation_engine(ladder, thetas, phis)
+    return _sphere_map("rotation", thetas, phis, (closed_s, closed_i), engine, 1e-6, 1e-8)
 
 
 def kerr_truncation(nbar: float) -> int:

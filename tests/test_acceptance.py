@@ -36,32 +36,34 @@ def random_probe(rng, dim):
 
 
 def test_criterion_1_closed_form_qfi_maps():
+    # the engine against each map record and against the closed forms
+    # written out here, so neither can drift on its own
     start = time.perf_counter()
-    grid = sc.sphere_grid(32)
-    worst = 0.0
+    all_match = True
     s1, _, _ = sc.stokes_operators()
     dyn_pol = ParameterizedDynamics(s1)
-    for pt in grid:
-        probe = sc.polarization_state(pt)
-        closed_s = 4.0 - 4.0 * math.sin(pt.theta) ** 2 * math.cos(pt.phi) ** 2
-        ok = _rel_ok(sqpe_qfi(dyn_pol, probe), closed_s, 1e-6) and _rel_ok(
-            iqpe_qfi(dyn_pol, probe), 4.0, 1e-6
-        )
-        if not ok:
-            worst = max(worst, abs(sqpe_qfi(dyn_pol, probe) - closed_s))
-    all_match = worst == 0.0
+    for theta, phi, map_s, map_i in sc.birefringence_qfi_map(32).tolist():
+        probe = sc.polarization_state(sc.SpherePoint(theta, phi))
+        closed_s = 4.0 - 4.0 * math.sin(theta) ** 2 * math.cos(phi) ** 2
+        got_s, got_i = sqpe_qfi(dyn_pol, probe), iqpe_qfi(dyn_pol, probe)
+        if not (
+            _rel_ok(got_s, closed_s, 1e-6) and _rel_ok(got_s, map_s, 1e-6)
+            and _rel_ok(got_i, 4.0, 1e-6) and _rel_ok(got_i, map_i, 1e-6)
+        ):
+            all_match = False
     for order in (1, 4, 10):
         ladder = sc.modal_ladder(order)
         dyn = ParameterizedDynamics(ladder.lz)
         n = float(order)
-        for pt in grid:
-            probe = sc.hlg_state(ladder, order, pt)
-            sin_sq = math.sin(pt.theta) ** 2
+        for theta, phi, map_s, map_i in sc.rotation_qfi_map(order, 32).tolist():
+            probe = sc.hlg_state(ladder, order, sc.SpherePoint(theta, phi))
+            sin_sq = math.sin(theta) ** 2
             closed_s = 4.0 * n * sin_sq
             closed_i = 4.0 * n * n * (1.0 - sin_sq) + 4.0 * n * sin_sq
+            got_s, got_i = sqpe_qfi(dyn, probe), iqpe_qfi(dyn, probe)
             if not (
-                _rel_ok(sqpe_qfi(dyn, probe), closed_s, 1e-6)
-                and _rel_ok(iqpe_qfi(dyn, probe), closed_i, 1e-6)
+                _rel_ok(got_s, closed_s, 1e-6) and _rel_ok(got_s, map_s, 1e-6)
+                and _rel_ok(got_i, closed_i, 1e-6) and _rel_ok(got_i, map_i, 1e-6)
             ):
                 all_match = False
     elapsed = time.perf_counter() - start

@@ -368,6 +368,52 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, rule",
+    [
+        (["experiment", "--config", SPECTRUM_CONFIG, "--seed", "-1"], "--seed", ">= 0"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "-3"], "--seed", ">= 0"),
+        (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], "--l", ">= 1"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--trials", "5"],
+         "--trials", ">= 100"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu", "999"],
+         "--nu", ">= 1000"),
+        (["qfi-map", "--scenario", "rotation", "--order-n", "301"], "--order-n", "[0, 300]"),
+        (["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "1"],
+         "--resolution", ">= 2"),
+        (["kerr", "--nbar", "-1"], "--nbar", ">= 0"),
+        (["qfi-map", "--scenario", "birefringence", "--order-n", "3"], "--order-n",
+         "only to the rotation scenario"),
+    ],
+    ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "map-order",
+         "map-resolution", "kerr-nbar", "birefringence-order"],
+)
+def test_out_of_range_flag_is_config_error(tmp_path, capsys, argv, flag, rule):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and rule in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, code", [(SPECTRUM_CONFIG, 1), (FIT_CONFIG, 0)], ids=["spectrum", "fit"]
+)
+def test_band_above_nyquist_is_config_error_in_spectrum_mode(tmp_path, capsys, config, code):
+    # sample_rate = 60e3 in both configs; a fit run takes no spectrum
+    lines = Path(config).read_text().splitlines()
+    lines = [line for line in lines if not line.startswith("band_hi_hz =")]
+    lines.append("band_hi_hz = 40e3")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "exp")]) == code
+    if code:
+        rate_line = next(k for k, line in enumerate(lines, 1) if line.startswith("sample_rate ="))
+        err = capsys.readouterr().err
+        assert f"{bad}:{len(lines)},{rate_line}:" in err
+        assert "'band_hi_hz'" in err and "'sample_rate'" in err
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("power_w", "nan"),

@@ -251,14 +251,13 @@ def test_monte_carlo_bias_small_in_linear_zone():
     assert abs(mean - alpha) < 0.1 * stddev
 
 
-def test_monte_carlo_poisson_variant():
-    proto = RotationProtocol(10)
-    _, stddev = monte_carlo_precision(
-        proto, 0.0, 10**5, 2000, seed=6, statistics="poisson"
-    )
-    assert stddev / crb_stddev(proto, 10**5) == pytest.approx(1.0, abs=0.1)
-    with pytest.raises(ContractViolation):
-        monte_carlo_precision(proto, 0.0, 10**5, 2000, seed=6, statistics="gaussian")
+@pytest.mark.parametrize("alpha, delta_phi", [(0.08, 0.0), (-0.08, 0.0), (0.07, 0.2)])
+def test_monte_carlo_refuses_angle_past_fold(alpha, delta_phi):
+    # |2*l*alpha + delta_phi| >= pi/2: arcsin would return another angle
+    proto = RotationProtocol(10, delta_phi)
+    with pytest.raises(ContractViolation, match="cannot be identified"):
+        monte_carlo_precision(proto, alpha, 10**5, 200, seed=6)
+    monte_carlo_precision(proto, 0.07 - delta_phi / 20.0, 10**5, 200, seed=6)
 
 
 def test_monte_carlo_reproducible():

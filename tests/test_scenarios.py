@@ -31,7 +31,6 @@ from iqpe.scenarios import (
     polarization_state,
     rotation_qfi_map,
     save_lg_field,
-    sphere_grid,
     stokes_operators,
 )
 from iqpe.statekit import ContractViolation, expectation, herm_eig, variance
@@ -83,11 +82,11 @@ def test_sphere_point_validation():
 
 def test_birefringence_map_values():
     rows = birefringence_qfi_map(5)
-    by_point = {(round(r.theta, 12), round(r.phi, 12)): r for r in rows}
+    by_point = {(round(float(r["theta"]), 12), round(float(r["phi"]), 12)): r for r in rows}
     half_pi = round(math.pi / 2.0, 12)
     dead = by_point[(half_pi, 0.0)]
-    assert dead.qfi_sqpe == pytest.approx(0.0, abs=1e-12)
-    assert all(r.qfi_iqpe == pytest.approx(4.0, abs=1e-12) for r in rows)
+    assert dead["qfi_sqpe"] == pytest.approx(0.0, abs=1e-12)
+    assert all(r["qfi_iqpe"] == pytest.approx(4.0, abs=1e-12) for r in rows)
 
 
 def test_birefringence_bright_plane():
@@ -102,10 +101,18 @@ def test_birefringence_bright_plane():
     assert iqpe_qfi(dyn, probe) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_sphere_grid_shape():
-    rows = sphere_grid(2)
-    assert len(rows) == 8
-    assert len(sphere_grid(32)) == 32 * 64
+@pytest.mark.parametrize("order", [None, 0, 4])
+@pytest.mark.parametrize("res", [2, 5])
+def test_sphere_map_records(order, res):
+    records = birefringence_qfi_map(res) if order is None else rotation_qfi_map(order, res)
+    assert records.dtype.names == ("theta", "phi", "qfi_sqpe", "qfi_iqpe")
+    assert records.shape == (2 * res * res,)
+    # theta-major: each theta holds a run of 2*res phis over [0, 2*pi)
+    grid = records.reshape(res, 2 * res)
+    thetas = np.linspace(0.0, math.pi, res)
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * res, endpoint=False)
+    assert np.array_equal(grid["theta"], np.broadcast_to(thetas[:, None], grid.shape))
+    assert np.array_equal(grid["phi"], np.broadcast_to(phis, grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +226,14 @@ def test_rotation_map_values():
     rows = rotation_qfi_map(4, 5)
     by_theta = {}
     for r in rows:
-        by_theta.setdefault(round(r.theta, 12), r)
+        by_theta.setdefault(round(float(r["theta"]), 12), r)
     equator = by_theta[round(math.pi / 2.0, 12)]
-    assert equator.qfi_sqpe == pytest.approx(16.0, rel=1e-12)
+    assert equator["qfi_sqpe"] == pytest.approx(16.0, rel=1e-12)
     pole = by_theta[0.0]
-    assert pole.qfi_sqpe == pytest.approx(0.0, abs=1e-12)
-    assert pole.qfi_iqpe == pytest.approx(64.0, rel=1e-12)
+    assert pole["qfi_sqpe"] == pytest.approx(0.0, abs=1e-12)
+    assert pole["qfi_iqpe"] == pytest.approx(64.0, rel=1e-12)
     mid = by_theta[round(math.pi / 4.0, 12)]
-    assert mid.qfi_iqpe == pytest.approx(40.0, rel=1e-12)
+    assert mid["qfi_iqpe"] == pytest.approx(40.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 4])
@@ -237,12 +244,12 @@ def test_maps_match_numeric_engine(order):
     dyn = ParameterizedDynamics(ladder.lz)
     rows = rotation_qfi_map(order, 32)
     assert len(rows) == 32 * 64
-    for row in rows[::97]:
-        probe = hlg_state(ladder, order, SpherePoint(row.theta, row.phi))
+    for theta, phi, qfi_s, qfi_i in rows[::97].tolist():
+        probe = hlg_state(ladder, order, SpherePoint(theta, phi))
         numeric_s = qfi_numeric(sqpe_state_family(dyn, probe), 0.3)
-        assert numeric_s == pytest.approx(row.qfi_sqpe, rel=1e-5, abs=1e-6)
+        assert numeric_s == pytest.approx(qfi_s, rel=1e-5, abs=1e-6)
         numeric_i = qfi_numeric(iqpe_state_family(dyn, probe), 0.3)
-        assert numeric_i == pytest.approx(row.qfi_iqpe, rel=1e-5, abs=1e-6)
+        assert numeric_i == pytest.approx(qfi_i, rel=1e-5, abs=1e-6)
 
 
 # Orders at which <V^2> - <V>^2 cancels below zero at the poles; the map must
@@ -251,7 +258,7 @@ def test_maps_match_numeric_engine(order):
 def test_rotation_map_high_orders(order):
     rows = rotation_qfi_map(order, 2)
     assert len(rows) == 2 * 4
-    assert all(row.qfi_sqpe >= 0.0 for row in rows)
+    assert np.all(rows["qfi_sqpe"] >= 0.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -281,7 +288,7 @@ def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
     # theta) against the per-point route: hlg_state, variance, second moment
     ladder = modal_ladder(order)
     thetas = np.array([theta])
-    phis = [0.0, phi]
+    phis = np.array([0.0, phi])
     engine_s, engine_i = scenarios._rotation_engine(ladder, thetas, phis)
     for k, t in enumerate(thetas):
         for j, p in enumerate(phis):
@@ -330,10 +337,10 @@ def test_birefringence_matches_numeric_engine():
     s1, _, _ = stokes_operators()
     dyn = ParameterizedDynamics(s1)
     rows = birefringence_qfi_map(32)
-    for row in rows[::97]:
-        probe = polarization_state(SpherePoint(row.theta, row.phi))
+    for theta, phi, qfi_s, _ in rows[::97].tolist():
+        probe = polarization_state(SpherePoint(theta, phi))
         numeric_s = qfi_numeric(sqpe_state_family(dyn, probe), 0.0)
-        assert numeric_s == pytest.approx(row.qfi_sqpe, rel=1e-5, abs=1e-6)
+        assert numeric_s == pytest.approx(qfi_s, rel=1e-5, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
