@@ -186,20 +186,15 @@ def _cmd_qfi_map(args) -> None:
 
 def _cmd_kerr(args) -> None:
     out_dir = _prepare_out(args.out)
-    truncation = args.truncation
-    if truncation is None:
-        truncation = scenarios.kerr_truncation(args.nbar)
-    qfi_sqpe, qfi_iqpe = scenarios.kerr_qfi(args.nbar, truncation)
+    qfi_sqpe, qfi_iqpe = scenarios.kerr_qfi(args.nbar)
     payload = {
         "nbar": args.nbar,
-        "truncation": truncation,
+        "truncation": scenarios.kerr_truncation(args.nbar),
         "qfi_sqpe": qfi_sqpe,
         "qfi_iqpe": qfi_iqpe,
     }
     _write_json(out_dir, "kerr.json", payload, "kerr.v1.json")
-    _write_manifest(
-        out_dir, "kerr", None, None, {"nbar": args.nbar, "truncation": truncation}
-    )
+    _write_manifest(out_dir, "kerr", None, None, {"nbar": args.nbar})
 
 
 def _cmd_rotation_sim(args) -> None:
@@ -363,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=_cmd_qfi_map)
 
     p_kerr = sub.add_parser("kerr", help="coherent-probe phase-shift QFI pair")
-    p_kerr.add_argument("--nbar", type=_flag(emulator._nonnegative_float), required=True)
-    p_kerr.add_argument("--truncation", type=int, default=None)
+    p_kerr.add_argument("--nbar", required=True, type=_flag(emulator._ranged(
+        emulator.finite_float, lambda v: 0.0 <= v <= scenarios.MAX_NBAR,
+        f">= 0 and <= {scenarios.MAX_NBAR:.0f}")))
     p_kerr.add_argument("--out", required=True)
     p_kerr.set_defaults(func=_cmd_kerr)
 
@@ -373,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--alpha-deg", type=emulator.finite_float, required=True, help="true angle, degrees"
     )
-    p_sim.add_argument("--delta-phi-deg", type=emulator.finite_float, default=0.0)
+    # the library's range (-pi, pi], tested on the radians it will see
+    p_sim.add_argument("--delta-phi-deg", default=0.0, type=_flag(emulator._ranged(
+        emulator.finite_float, lambda v: -math.pi < math.radians(v) <= math.pi,
+        "in (-180, 180]")))
     p_sim.add_argument("--nu", type=_int_in(protocol.MIN_NU), default=10**6,
                        help="photons per trial")
     p_sim.add_argument("--trials", type=_int_in(protocol.MIN_TRIALS), default=10_000)
@@ -401,9 +400,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ContractViolation as exc:

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from iqpe import scenarios
-from iqpe.cli import main
+from iqpe import protocol, scenarios
+from iqpe.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 FIT_CONFIG = "configs/static_fit_six_l.cfg"
@@ -115,12 +115,26 @@ def test_kerr_values(tmp_path, nbar, expected):
     payload = read_json(out / "kerr.json")
     assert payload["qfi_sqpe"] == pytest.approx(expected[0], rel=1e-4, abs=1e-9)
     assert payload["qfi_iqpe"] == pytest.approx(expected[1], rel=1e-4, abs=1e-9)
-    assert payload["truncation"] >= 32
+    assert payload["truncation"] == scenarios.kerr_truncation(nbar)
+    assert read_json(out / "manifest.json")["parameters"] == {"nbar": nbar}
 
 
-def test_kerr_insufficient_truncation_is_numeric_error(tmp_path):
-    code = main(["kerr", "--nbar", "9", "--truncation", "12", "--out", str(tmp_path / "x")])
-    assert code == 2
+def test_kerr_vacuum_is_exact(tmp_path):
+    out = tmp_path / "kerr"
+    assert main(["kerr", "--nbar", "0", "--out", str(out)]) == 0
+    payload = read_json(out / "kerr.json")
+    assert (payload["qfi_sqpe"], payload["qfi_iqpe"], payload["truncation"]) == (0.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("nbar", [3000.0, 6000.0])
+def test_kerr_large_nbar_runs(tmp_path, nbar):
+    # 16*ceil(nbar)+32 levels summed to a tail above 1e-12 by rounding alone,
+    # and the command refused its own default with exit 2
+    out = tmp_path / "kerr"
+    assert main(["kerr", "--nbar", str(nbar), "--out", str(out)]) == 0
+    payload = read_json(out / "kerr.json")
+    assert payload["qfi_sqpe"] == pytest.approx(4.0 * nbar, rel=1e-11)
+    assert payload["qfi_iqpe"] == pytest.approx(4.0 * nbar * nbar + 4.0 * nbar, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +218,29 @@ def test_experiment_seed_override(tmp_path):
     assert main(["experiment", "--config", SPECTRUM_CONFIG, "--out", str(out_b)]) == 0
     assert read_json(out_a / "manifest.json")["seed"] == 99
     assert artifact_bytes(out_a) != artifact_bytes(out_b)
+
+
+def test_delta_phi_flag_keeps_the_library_edge():
+    # 180 deg is pi exactly, the closed end of the library's (-pi, pi]
+    args = build_parser().parse_args(
+        ["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "180",
+         "--seed", "1", "--out", "x"]
+    )
+    assert math.radians(args.delta_phi_deg) == math.pi
+    assert protocol.RotationProtocol(5, math.radians(args.delta_phi_deg)).delta_phi == math.pi
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    if kind == "directory":
+        config = tmp_path
+    else:
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes("mode = fit  # \u00b5W\n".encode("latin-1"))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {str(config)!r}")
+    assert err.count("\n") == 1
 
 
 def test_experiment_malformed_config(tmp_path):
@@ -381,11 +418,17 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
         (["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "1"],
          "--resolution", ">= 2"),
         (["kerr", "--nbar", "-1"], "--nbar", ">= 0"),
+        (["kerr", "--nbar", "1000001"], "--nbar", "<= 1000000"),
         (["qfi-map", "--scenario", "birefringence", "--order-n", "3"], "--order-n",
          "only to the rotation scenario"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "200",
+          "--seed", "1"], "--delta-phi-deg", "in (-180, 180]"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "-180",
+          "--seed", "1"], "--delta-phi-deg", "in (-180, 180]"),
     ],
     ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "map-order",
-         "map-resolution", "kerr-nbar", "birefringence-order"],
+         "map-resolution", "kerr-nbar", "kerr-nbar-cap", "birefringence-order",
+         "sim-delta-phi", "sim-delta-phi-edge"],
 )
 def test_out_of_range_flag_is_config_error(tmp_path, capsys, argv, flag, rule):
     out = tmp_path / "x"

@@ -64,8 +64,9 @@ def test_numeric_rejects_bad_step():
 
 
 def test_sqpe_coherent_number_probe():
-    dyn = ParameterizedDynamics(number_operator(96))
-    assert sqpe_qfi(dyn, coherent_state(4.0, 96)) == pytest.approx(16.0, rel=1e-4)
+    probe = coherent_state(4.0)
+    dyn = ParameterizedDynamics(number_operator(probe.dim))
+    assert sqpe_qfi(dyn, probe) == pytest.approx(16.0, rel=1e-4)
 
 
 def test_sqpe_circular_probe():
@@ -79,8 +80,9 @@ def test_sqpe_dead_zone_top_oam():
 
 
 def test_iqpe_coherent_number_probe():
-    dyn = ParameterizedDynamics(number_operator(96))
-    assert iqpe_qfi(dyn, coherent_state(4.0, 96)) == pytest.approx(80.0, rel=1e-3)
+    probe = coherent_state(4.0)
+    dyn = ParameterizedDynamics(number_operator(probe.dim))
+    assert iqpe_qfi(dyn, probe) == pytest.approx(80.0, rel=1e-3)
 
 
 def test_iqpe_polarization_is_flat():

@@ -358,26 +358,58 @@ def test_kerr_closed_forms(nbar, expected):
     assert got[1] == pytest.approx(expected[1], rel=1e-4, abs=1e-9)
 
 
-def test_kerr_truncation_stable():
-    base = kerr_qfi(4.0, 96)
-    doubled = kerr_qfi(4.0, 192)
-    assert doubled[0] == pytest.approx(base[0], rel=1e-8)
-    assert doubled[1] == pytest.approx(base[1], rel=1e-8)
-
-
 def test_kerr_large_nbar():
-    # the number operator is a vector of eigenvalues, so a 16032-dimensional
+    # the number operator is a vector of eigenvalues, so a 1312-dimensional
     # Fock space costs O(truncation) memory
     nbar = 1000.0
-    assert scenarios.kerr_truncation(nbar) == 16032
+    assert scenarios.kerr_truncation(nbar) == 1312
     qfi_sqpe, qfi_iqpe = kerr_qfi(nbar)
     assert qfi_sqpe == pytest.approx(4.0 * nbar, rel=1e-12)
     assert qfi_iqpe == pytest.approx(4.0 * nbar * nbar + 4.0 * nbar, rel=1e-12)
 
 
-def test_kerr_insufficient_truncation_rejected():
-    with pytest.raises(ContractViolation):
-        coherent_state(9.0, 12)
+@settings(max_examples=40, deadline=None)
+@given(nbar=st.floats(-12.0, 4.0).map(lambda e: 10.0**e))  # log-uniform
+@example(nbar=3000.0)  # 16*ceil(nbar)+32 levels summed to a tail of 2.7e-12 and was refused
+@example(nbar=6000.0)
+def test_kerr_closed_forms_over_range(nbar):
+    qfi_sqpe, qfi_iqpe = kerr_qfi(nbar)
+    assert qfi_sqpe == pytest.approx(4.0 * nbar, rel=1e-11)
+    assert qfi_iqpe == pytest.approx(4.0 * nbar * nbar + 4.0 * nbar, rel=1e-11)
+
+
+def log_dropped_tail_bound(nbar, levels):
+    """log of T^2 e^-nbar (e nbar / T)^T / nbar, the Chernoff bound on the
+    Poisson mass at or above T, weighted by T^2 and relative to nbar."""
+    return (levels * (1.0 + math.log(nbar) - math.log(levels)) - nbar
+            + 2.0 * math.log(levels) - math.log(nbar))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nbar=st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+@example(nbar=scenarios.MAX_NBAR)
+@example(nbar=1.0)
+def test_kerr_truncation_is_smallest_that_bounds_the_tail(nbar):
+    # the Chernoff bound holds only above the mean
+    levels = scenarios.kerr_truncation(nbar)
+    assert levels - 1 > nbar
+    assert log_dropped_tail_bound(nbar, levels) <= -53.0 * math.log(2.0)
+    assert log_dropped_tail_bound(nbar, levels - 1) > -53.0 * math.log(2.0)
+
+
+@pytest.mark.parametrize(
+    "nbar, levels",
+    [(0.0, 1), (4.0, 34), (200.0, 346), (1000.0, 1312), (3000.0, 3535), (1e6, 1010074)],
+)
+def test_kerr_truncation_values(nbar, levels):
+    assert scenarios.kerr_truncation(nbar) == levels
+    assert coherent_state(nbar).dim == levels
+
+
+@pytest.mark.parametrize("nbar", [-1e-300, math.nextafter(scenarios.MAX_NBAR, math.inf), math.nan])
+def test_coherent_state_rejects_nbar_out_of_range(nbar):
+    with pytest.raises(ContractViolation, match="mean photon number"):
+        coherent_state(nbar)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def test_variance_s1_on_circular_state():
 def test_variance_number_operator_coherent():
     from iqpe.scenarios import coherent_state, number_operator
 
-    state = coherent_state(4.0, 64)
-    assert variance(number_operator(64), state) == pytest.approx(4.0, abs=1e-6)
+    state = coherent_state(4.0)
+    assert variance(number_operator(state.dim), state) == pytest.approx(4.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
