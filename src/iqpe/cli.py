@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -34,7 +35,7 @@ from . import emulator, protocol, scenarios
 from .emulator import ConfigError
 from .statekit import ContractViolation
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 DEAD_ZONE_THRESHOLD = 1e-9
 
@@ -367,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("rotation-sim", help="Monte-Carlo estimator precision")
     p_sim.add_argument("--l", type=_int_in(1), required=True, help="OAM value")
     p_sim.add_argument(
-        "--alpha-deg", type=emulator.finite_float, required=True, help="true angle, degrees"
+        "--alpha-deg", type=_flag(emulator.finite_float), required=True,
+        help="true angle, degrees",
     )
     # the library's range (-pi, pi], tested on the radians it will see
     p_sim.add_argument("--delta-phi-deg", default=0.0, type=_flag(emulator._ranged(
@@ -408,5 +410,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """``main()`` in a process of its own: the console script and ``python -m``.
+
+    ``gc.freeze()`` moves everything the imports allocated (numpy, jsonschema
+    and this package) to the permanent generation first, so neither the
+    full collections during the command nor the ones at interpreter exit
+    walk that heap again.  Callers of ``main()`` in a longer-lived process
+    keep their collector as it was.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

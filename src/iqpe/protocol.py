@@ -52,11 +52,8 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed on (seed, stream): reproducible, order-free."""
     if seed < 0:
         raise ContractViolation(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, stream)))
-
-
-def _stream_key(seed: int, stream: int) -> np.ndarray:
-    return np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
+    key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _trial_rngs(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -64,13 +61,15 @@ def _trial_rngs(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generat
 
     Each yielded state draws exactly what ``trial_rng(seed, i)`` draws: the
     Philox key is reset with the counter at 0 and the buffer empty.  Building
-    a fresh generator per trial costs more than the draws themselves.
+    a fresh generator per trial costs more than the draws themselves, so one
+    held key array has only its stream word rewritten.
     """
     rng = trial_rng(seed, 0)
     bit_generator = rng.bit_generator
     fresh = bit_generator.state
+    key = fresh["state"]["key"]
     for i in streams:
-        fresh["state"]["key"] = _stream_key(seed, i)
+        key[1] = i & _UINT64_MASK
         bit_generator.state = fresh
         yield rng
 
@@ -183,9 +182,12 @@ def monte_carlo_precision(
 
     Each trial splits nu photons binomially between the two channels and
     applies estimate_alpha.  Trial i uses the Philox stream keyed (seed, i),
-    so results do not depend on evaluation order.  The arcsin readout
-    identifies alpha only while |2*l*alpha + delta_phi| < pi/2; past that
-    fold the estimates are of another angle, so the run is refused.
+    so results do not depend on evaluation order.  The estimate depends on
+    the trial's count alone, so it is computed once per distinct count and
+    that same float is stored for every trial that drew the count.  The
+    arcsin readout identifies alpha only while |2*l*alpha + delta_phi| <
+    pi/2; past that fold the estimates are of another angle, so the run is
+    refused.
     """
     if trials < MIN_TRIALS:
         raise ContractViolation(f"trials must be >= {MIN_TRIALS}, got {trials}")
@@ -199,7 +201,11 @@ def monte_carlo_precision(
         )
     p_l, _ = projection_probabilities(proto, alpha_true)
     estimates = np.empty(trials)
+    by_count: dict[int, float] = {}
     for i, rng in enumerate(_trial_rngs(seed, range(trials))):
         n_l = int(rng.binomial(nu, p_l))
-        estimates[i] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
+        estimate = by_count.get(n_l)
+        if estimate is None:
+            estimate = by_count[n_l] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
+        estimates[i] = estimate
     return float(np.mean(estimates)), float(np.std(estimates, ddof=1))

@@ -337,14 +337,20 @@ def test_bench_tracer_finds_its_targets(tmp_path):
     assert (tmp_path / "spans.json").is_file()
 
 
-def scipy_modules_after(code):
-    """scipy modules loaded in a fresh process once ``code`` has run."""
-    result = subprocess.run(
-        [sys.executable, "-c",
-         code + "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+def run_python(args):
+    """``python *args`` in a fresh process that imports iqpe from src/."""
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+
+
+def scipy_modules_after(code):
+    """scipy modules loaded in a fresh process once ``code`` has run."""
+    result = run_python(
+        ["-c", code + "; import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"]
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
@@ -357,7 +363,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_kerr_loads_no_scipy(tmp_path):
-    # the Poisson weights take their log-factorials from math.lgamma
+    # the Poisson weights are cumulative sums of numpy logs, not scipy.special
     argv = ["kerr", "--nbar", "99.27", "--out", str(tmp_path / "kerr")]
     code = f"import iqpe.cli; assert iqpe.cli.main({argv!r}) == 0"
     assert scipy_modules_after(code) == "[]"
@@ -372,6 +378,49 @@ def test_console_script_runs(tmp_path):
     )
     assert result.returncode == 0
     assert read_json(out / "kerr.json")["qfi_iqpe"] == pytest.approx(8.0, rel=1e-4)
+
+
+def test_cli_import_leaves_the_collector_alone():
+    # only run() freezes; importing iqpe.cli to call main() changes nothing
+    result = run_python(["-c", "import gc, iqpe.cli; print(gc.get_freeze_count(), gc.isenabled())"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "True"]
+
+
+# run() as a script: its exit code, and whether it froze the import heap
+RUN_SCRIPT = (
+    "import gc, sys; from iqpe.cli import run; code = run(); "
+    "print(gc.get_freeze_count() > 0); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["kerr", "--nbar", "4"], 0),
+        (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], 1),
+        (["fit", "--input", "{overflowing}"], 2),
+    ],
+    ids=["ok", "config-error", "contract-violation"],
+)
+def test_process_entries_match_main(tmp_path, capsys, argv, code):
+    table = tmp_path / "phases.csv"
+    table.write_text("l,phi_rad\n1,1e308\n2,-1e308\n3,1e308\n")
+    argv = [arg.format(overflowing=table) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "main")]) == code
+    err = capsys.readouterr().err.splitlines()
+    module = run_python(["-m", "iqpe.cli", *argv, "--out", str(tmp_path / "module")])
+    script = run_python(["-c", RUN_SCRIPT, *argv, "--out", str(tmp_path / "run")])
+    # a child also prints the numpy warnings that pytest captures here
+    assert (module.returncode, module.stderr.splitlines()[-len(err):]) == (code, err)
+    assert (script.returncode, script.stderr.splitlines()[-len(err):]) == (code, err)
+    assert script.stdout == "True\n"
+    if code == 0:
+        expected = artifact_bytes(tmp_path / "main")
+        checksums = read_json(tmp_path / "main" / "manifest.json")["artifact_checksums"]
+        for out in (tmp_path / "module", tmp_path / "run"):
+            assert artifact_bytes(out) == expected
+            assert read_json(out / "manifest.json")["artifact_checksums"] == checksums
 
 
 def test_unknown_subcommand_is_config_error():
@@ -397,11 +446,16 @@ def assert_no_non_finite_tokens(out_dir):
         (["rotation-sim", "--l", "5", "--alpha-deg", "nan", "--seed", "1"], "--alpha-deg"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "inf",
           "--seed", "1"], "--delta-phi-deg"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "inf", "--seed", "1"], "--alpha-deg"),
+        # as a word of its own, argparse would take -inf for an option
+        (["rotation-sim", "--l", "5", "--alpha-deg=-inf", "--seed", "1"], "--alpha-deg"),
     ],
 )
 def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "is not a finite number" in err
 
 
 @pytest.mark.parametrize(

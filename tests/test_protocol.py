@@ -298,3 +298,27 @@ def test_rekeyed_streams_match_fresh_generators(seed):
         assert rng.poisson(4.2e5) == fresh.poisson(4.2e5)
         assert rng.binomial(10**5, 0.6) == fresh.binomial(10**5, 0.6)
         assert rng.poisson(7.5e4) == fresh.poisson(7.5e4)
+
+
+def monte_carlo_oracle(proto, alpha, nu, trials, seed):
+    """The Monte Carlo with a fresh generator and an estimate for every trial."""
+    p_l, _ = projection_probabilities(proto, alpha)
+    estimates = np.empty(trials)
+    for i in range(trials):
+        n_l = int(trial_rng(seed, i).binomial(nu, p_l))
+        estimates[i] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
+    return float(np.mean(estimates)), float(np.std(estimates, ddof=1))
+
+
+@pytest.mark.parametrize("trials", [100, 2000])
+@pytest.mark.parametrize("nu", [10**3, 10**6])
+@pytest.mark.parametrize("delta_phi", [0.0, -1.0])
+@pytest.mark.parametrize("l", [1, 17, 150])
+@pytest.mark.parametrize("seed", [0, 21, 2**63 + 5, 2**64 - 1])
+def test_monte_carlo_matches_per_trial_oracle(seed, l, delta_phi, nu, trials):
+    # one re-keyed generator and one estimate per distinct count must give
+    # the bits of a fresh generator and an estimate per trial
+    proto = RotationProtocol(l, delta_phi)
+    alpha = (0.3 - delta_phi) / (2.0 * l)  # total phase 0.3 rad
+    expected = monte_carlo_oracle(proto, alpha, nu, trials, seed)
+    assert monte_carlo_precision(proto, alpha, nu, trials, seed) == expected
