@@ -43,7 +43,25 @@ DEAD_ZONE_THRESHOLD = 1e-9
 _CSV_BLOCK_ROWS = 256
 
 
+class _NegativeNumber:
+    """Matches every token that ``float()`` parses and that starts with ``-``."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern covers only -12 and -1.5, so it would read
+        # -1e-4 or -inf as an option string; no option here looks like a number
+        self._negative_number_matcher = _NegativeNumber
+
     # argparse exits with code 2 on usage errors; route them through
     # ConfigError so usage problems land on exit code 1 instead.
     def error(self, message):

@@ -445,7 +445,13 @@ def parse_run_config(path) -> RunConfig:
             f"{path}:{_lines(values, 'band_lo_hz', 'band_hi_hz')}: 'band_lo_hz' ({lo}) "
             f"must be below 'band_hi_hz' ({hi})"
         )
-    # a fit run takes no spectrum, so only a spectrum run is held to Nyquist
+    # both modes synthesize a record; only a spectrum run takes a band
+    if not v["signal_freq_hz"] <= nyquist:
+        raise ConfigError(
+            f"{path}:{_lines(values, 'signal_freq_hz', 'sample_rate')}: 'signal_freq_hz' "
+            f"({v['signal_freq_hz']}) must not exceed the Nyquist frequency "
+            f"'sample_rate'/2 ({nyquist})"
+        )
     if v["mode"] == "spectrum" and not hi <= nyquist:
         raise ConfigError(
             f"{path}:{_lines(values, 'band_hi_hz', 'sample_rate')}: 'band_hi_hz' ({hi}) "

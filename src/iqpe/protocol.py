@@ -24,24 +24,18 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .scenarios import modal_ladder
-from .statekit import ContractViolation, UnitaryMatrix
+from .statekit import ContractViolation
 
 __all__ = [
     "RotationProtocol",
     "ShotRecord",
-    "indefinite_rotation_unitary",
     "projection_probabilities",
-    "cfi",
     "estimate_alpha",
     "monte_carlo_precision",
     "crb_stddev",
 ]
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
-
-# Outcome probabilities closer than this to 0 or 1 are treated as degenerate.
-DEGENERATE_PROB_TOL = 1e-12
 
 # Fewest trials, and fewest photons per trial, of a Monte Carlo run.
 MIN_TRIALS = 100
@@ -104,22 +98,6 @@ class ShotRecord:
         object.__setattr__(self, "nu_total", self.nu_L + self.nu_R)
 
 
-def indefinite_rotation_unitary(proto: RotationProtocol, alpha: float) -> UnitaryMatrix:
-    """Joint meter+probe unitary: exp(-1j*alpha*Lz) (+) exp(+1j*alpha*Lz).
-
-    Meter-outer block ordering on the order-l modal space; |H> selects the
-    forward rotation, |V> the backward one.
-    """
-    ladder = modal_ladder(proto.oam_l)
-    oam = ladder.oam_values().astype(float)
-    forward = np.exp(-1j * alpha * oam)
-    dim = ladder.dim
-    joint = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    np.fill_diagonal(joint[:dim, :dim], forward)
-    np.fill_diagonal(joint[dim:, dim:], forward.conj())
-    return UnitaryMatrix(joint)
-
-
 def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[float, float]:
     """Click probabilities (pL, pR) of the circular-basis measurement.
 
@@ -128,28 +106,6 @@ def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[flo
     total_phase = 2.0 * proto.oam_l * alpha + proto.delta_phi
     p_l = 0.5 * (1.0 + math.sin(total_phase))
     return p_l, 1.0 - p_l
-
-
-def cfi(proto: RotationProtocol, alpha: float) -> float:
-    """Classical Fisher information of the two-outcome measurement: 4*l^2.
-
-    Sums (dp/dalpha)^2 / p over both outcomes.  The probabilities are
-    evaluated in half-angle form so the sum stays accurate near saturation;
-    exactly degenerate statistics raise instead.
-    """
-    l = proto.oam_l
-    total_phase = 2.0 * l * alpha + proto.delta_phi
-    # pL = cos^2(pi/4 - Phi/2), pR = sin^2(pi/4 - Phi/2): no cancellation.
-    half = math.pi / 4.0 - total_phase / 2.0
-    p_l = math.cos(half) ** 2
-    p_r = math.sin(half) ** 2
-    if min(p_l, p_r) < DEGENERATE_PROB_TOL:
-        raise ContractViolation(
-            f"degenerate statistics at alpha={alpha}: outcome probability "
-            f"within {DEGENERATE_PROB_TOL} of 0 or 1"
-        )
-    dp = l * math.cos(total_phase)  # dpL/dalpha; dpR/dalpha = -dp
-    return dp * dp * (1.0 / p_l + 1.0 / p_r)
 
 
 def estimate_alpha(record: ShotRecord, proto: RotationProtocol) -> float:

@@ -10,52 +10,31 @@ Covers the two estimation procedures compared throughout this package:
   becomes four times the full second moment of the characteristic operator.
 
 The engine treats the time-independent linear encoding H(g) = g * V
-computationally; the general time-ordered case enters only through the
-constant-eigenvalue upper-bound formulas.
+computationally, through V's spectrum: ``qfi_batch`` takes its eigenvalues
+and the states' amplitudes in its eigenbasis, and a dense V enters through
+one ``herm_eig`` in ``qfi_dense``.  The general time-ordered case enters
+only through the constant-eigenvalue upper-bound formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .statekit import (
-    ContractViolation,
-    HermitianOperator,
-    PureState,
-    UnitaryMatrix,
-    apply_unitary,
-    expm_herm_generator,
-    herm_eig,
-    tensor,
-    variance,
-)
-from .tolerances import EXPECTATION_IMAG_TOL
+from .statekit import ContractViolation, HermitianOperator, PureState, herm_eig
 
 __all__ = [
     "ParameterizedDynamics",
     "QfiReport",
-    "qfi_numeric",
     "qfi_batch",
+    "qfi_dense",
     "sqpe_qfi",
-    "iqpe_generator",
     "iqpe_qfi",
-    "iqpe_qfi_general",
     "qfi_upper_bounds",
     "qfi_report",
-    "meter_plus",
 ]
-
-# Default central-difference step for the numeric QFI.
-DEFAULT_STEP = 1e-5
-# Relative disagreement between the full-step and half-step estimates above
-# which Richardson extrapolation kicks in.
-RICHARDSON_TRIGGER = 1e-6
-# Numeric QFI may undershoot zero by at most this much before it is an error.
-NUMERIC_CLAMP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,10 +54,6 @@ class ParameterizedDynamics:
             raise ContractViolation(
                 f"evolution time must be finite, got {self.evolution_time}"
             )
-
-    def unitary_at(self, g: float) -> UnitaryMatrix:
-        """U(g) = exp(-1j * g * T * V)."""
-        return expm_herm_generator(self.characteristic_op, g * self.evolution_time)
 
     @property
     def dim(self) -> int:
@@ -110,90 +85,54 @@ class QfiReport:
             )
 
 
-def meter_plus() -> PureState:
-    """The fixed meter state (|0> + |1>) / sqrt(2) used by the quantum switch."""
-    return PureState(np.array([1.0, 1.0]) / np.sqrt(2.0), "meter")
-
-
-def _qfi_central(family: Callable[[float], PureState], g: float, step: float) -> float:
-    psi = family(g).amplitudes
-    plus = family(g + step).amplitudes
-    minus = family(g - step).amplitudes
-    dpsi = (plus - minus) / (2.0 * step)
-    grad_sq = np.vdot(dpsi, dpsi).real
-    overlap = np.vdot(dpsi, psi)
-    return 4.0 * (grad_sq - abs(overlap) ** 2)
-
-
-def qfi_numeric(
-    family: Callable[[float], PureState], g: float, step: float = DEFAULT_STEP
-) -> float:
-    """QFI of a pure-state family by central differences.
-
-    4 (<d psi|d psi> - |<d psi|psi>|^2) with the derivative taken at ``g``.
-    Evaluates at step and step/2; when the two estimates disagree by more than
-    RICHARDSON_TRIGGER relative, returns the Richardson extrapolation of the
-    pair (the difference scheme is second-order accurate).
-    """
-    if not (0.0 < step <= 1e-2):
-        raise ContractViolation(f"step must be in (0, 1e-2], got {step}")
-    q_full = _qfi_central(family, g, step)
-    q_half = _qfi_central(family, g, step / 2.0)
-    scale = max(abs(q_full), abs(q_half))
-    if scale > 0.0 and abs(q_full - q_half) > RICHARDSON_TRIGGER * scale:
-        q = (4.0 * q_half - q_full) / 3.0
-    else:
-        q = q_half
-    if q < -NUMERIC_CLAMP_TOL:
-        raise ContractViolation(f"numeric QFI {q:.3e} below -{NUMERIC_CLAMP_TOL}")
-    return max(q, 0.0)
-
-
 def qfi_batch(
-    states: np.ndarray, generator: np.ndarray, evolution_time: float = 1.0
+    states: np.ndarray, spectrum: np.ndarray, evolution_time: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both QFIs for every row of a ``(points, d)`` block of pure states.
 
-    ``generator`` is the characteristic operator V, either as the real 1-D
-    vector of its eigenvalues (a generator diagonal in the state basis) or
-    as a dense Hermitian ``(d, d)`` matrix.  Returns the arrays 4 T^2 Var[V]
-    (standard procedure) and 4 T^2 <V^2> (indefinite procedure).  The
-    variance is the two-pass ||(V - <V>) psi||^2, which for a diagonal V is
-    sum_k |psi_k|^2 (lam_k - <V>)^2.  Rows are trusted to be normalized:
-    states are validated where they enter.
+    ``spectrum`` is the real vector of the eigenvalues lam_k of the
+    characteristic operator V, and each row holds a state's amplitudes in
+    V's eigenbasis.  With the weights w_k = |psi_k|^2, returns the arrays
+    4 T^2 Var[V] = 4 T^2 sum_k w_k (lam_k - <V>)^2 (standard procedure,
+    two-pass) and 4 T^2 <V^2> = 4 T^2 sum_k w_k lam_k^2 (indefinite
+    procedure).  Rows are trusted to be normalized: states are validated
+    where they enter.
     """
     psi = np.asarray(states)
-    gen = np.asarray(generator)
-    if psi.ndim != 2 or gen.ndim not in (1, 2) or gen.shape != (psi.shape[1],) * gen.ndim:
+    lam = np.asarray(spectrum)
+    if psi.ndim != 2 or lam.shape != (psi.shape[1],):
         raise ContractViolation(
-            f"dimension mismatch: generator shape {gen.shape} vs state block {psi.shape}"
+            f"dimension mismatch: spectrum shape {lam.shape} vs state block {psi.shape}"
         )
-    if gen.ndim == 1:
-        if np.iscomplexobj(gen):
-            raise ContractViolation("a diagonal generator takes real eigenvalues")
-        weights = psi.real**2 + psi.imag**2
-        mean = weights @ gen
-        var = np.einsum("pd,pd->p", weights, (gen - mean[:, None]) ** 2)
-        second_moment = weights @ (gen * gen)
-    else:
-        v_psi = psi @ gen.T
-        mean = np.einsum("pd,pd->p", psi.conj(), v_psi)
-        worst_imag = float(np.max(np.abs(mean.imag), initial=0.0))
-        if worst_imag > EXPECTATION_IMAG_TOL:
-            raise ContractViolation(
-                f"expectation has imaginary residue {worst_imag:.3e} above tolerance"
-            )
-        centered = v_psi - mean.real[:, None] * psi
-        var = np.einsum("pd,pd->p", centered.conj(), centered).real
-        second_moment = np.einsum("pd,pd->p", v_psi.conj(), v_psi).real
+    if np.iscomplexobj(lam):
+        raise ContractViolation("a spectrum takes real eigenvalues")
+    weights = psi.real**2 + psi.imag**2
+    mean = weights @ lam
+    var = np.einsum("pd,pd->p", weights, (lam - mean[:, None]) ** 2)
+    second_moment = weights @ (lam * lam)
     scale = 4.0 * evolution_time * evolution_time
     return scale * var, scale * second_moment
 
 
+def qfi_dense(
+    states: np.ndarray, op: HermitianOperator, evolution_time: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``qfi_batch`` for a dense characteristic operator.
+
+    One ``herm_eig`` gives the spectrum and the eigenvectors v_k; row psi
+    becomes the amplitudes <v_k|psi>, i.e. ``psi @ conj(V)``.
+    """
+    psi = np.asarray(states)
+    if psi.ndim != 2 or psi.shape[1] != op.dim:
+        raise ContractViolation(
+            f"dimension mismatch: operator dim {op.dim} vs state block {psi.shape}"
+        )
+    eigenvalues, vectors = herm_eig(op)
+    return qfi_batch(psi @ vectors.entries.conj(), eigenvalues, evolution_time)
+
+
 def _one_row(dyn: ParameterizedDynamics, probe: PureState) -> tuple[np.ndarray, np.ndarray]:
-    return qfi_batch(
-        probe.amplitudes[None, :], dyn.characteristic_op.entries, dyn.evolution_time
-    )
+    return qfi_dense(probe.amplitudes[None, :], dyn.characteristic_op, dyn.evolution_time)
 
 
 def sqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
@@ -201,42 +140,13 @@ def sqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
     return float(_one_row(dyn, probe)[0][0])
 
 
-def iqpe_generator(dyn: ParameterizedDynamics, g: float) -> HermitianOperator:
-    """Generator of the switched dynamics on the joint meter+probe space.
-
-    Block-diagonal in the meter (outer) index: the plain generator on the
-    forward branch and minus its U-conjugate on the backward branch.  For the
-    linear encoding the plain generator is T * V.
-    """
-    t = dyn.evolution_time
-    h_gen = t * dyn.characteristic_op.entries
-    u = dyn.unitary_at(g).entries
-    backward = -u @ h_gen @ u.conj().T
-    dim = dyn.dim
-    joint = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    joint[:dim, :dim] = h_gen
-    joint[dim:, dim:] = backward
-    return HermitianOperator(0.5 * (joint + joint.conj().T))
-
-
 def iqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
     """QFI of the indefinite-time-direction procedure: 4 T^2 <V^2>.
 
     The two-level meter is prepared in the maximal superposition
-    (|0> + |1>)/sqrt(2); ``iqpe_qfi_general`` gives the same quantity through
-    the joint generator.
+    (|0> + |1>)/sqrt(2).
     """
     return float(_one_row(dyn, probe)[1][0])
-
-
-def iqpe_qfi_general(dyn: ParameterizedDynamics, probe: PureState, g: float = 0.0) -> float:
-    """Switched-procedure QFI via the joint generator at parameter ``g``.
-
-    4 Var of ``iqpe_generator`` over |meter_plus>|probe>: the route that the
-    closed form of ``iqpe_qfi`` is checked against.
-    """
-    joint = tensor(meter_plus(), probe)
-    return 4.0 * variance(iqpe_generator(dyn, g), joint)
 
 
 def qfi_upper_bounds(dyn: ParameterizedDynamics) -> tuple[float, float]:
@@ -273,31 +183,3 @@ def qfi_report(dyn: ParameterizedDynamics, probe: PureState) -> QfiReport:
         bound_sqpe=bound_sqpe,
         bound_iqpe=bound_iqpe,
     )
-
-
-def sqpe_state_family(
-    dyn: ParameterizedDynamics, probe: PureState
-) -> Callable[[float], PureState]:
-    """g -> U(g)|probe>, the family whose numeric QFI matches sqpe_qfi."""
-
-    def family(g: float) -> PureState:
-        return apply_unitary(dyn.unitary_at(g), probe)
-
-    return family
-
-
-def iqpe_state_family(
-    dyn: ParameterizedDynamics, probe: PureState
-) -> Callable[[float], PureState]:
-    """g -> U_switch(g)(|meter_plus>|probe>), matching iqpe_qfi numerically."""
-    joint0 = tensor(meter_plus(), probe)
-    dim = dyn.dim
-
-    def family(g: float) -> PureState:
-        u = dyn.unitary_at(g).entries
-        block = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-        block[:dim, :dim] = u
-        block[dim:, dim:] = u.conj().T
-        return apply_unitary(UnitaryMatrix(block), joint0)
-
-    return family

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .qfi import qfi_batch
+from .qfi import qfi_batch, qfi_dense
 from .statekit import (
     ContractViolation,
     HermitianOperator,
@@ -48,7 +48,6 @@ __all__ = [
     "rotation_qfi_map",
     "kerr_qfi",
     "coherent_state",
-    "number_operator",
     "kerr_truncation",
     "lg_field",
     "field_rotation_check",
@@ -135,7 +134,7 @@ class ModalLadder:
         return (self.order_N - l) // 2
 
     def basis_state(self, l: int) -> PureState:
-        return PureState.basis_vector(self.dim, self.index_of(l), "N-l ladder")
+        return PureState.basis_vector(self.dim, self.index_of(l))
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def polarization_state(pt: SpherePoint) -> PureState:
     """cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> (global phase dropped)."""
     half = pt.theta / 2.0
     amps = np.array([math.cos(half), math.sin(half) * np.exp(1j * pt.phi)])
-    return PureState(amps, "RL")
+    return PureState(amps)
 
 
 def _grid_axes(resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +267,7 @@ def birefringence_qfi_map(grid_resolution: int) -> np.ndarray:
     states[..., 1] = np.sin(half)[:, None] * np.exp(1j * phis)
     block = states.reshape(-1, 2)
     _check_normalized(block, "polarization state")
-    engine_s, engine_i = qfi_batch(block, s1.entries)
+    engine_s, engine_i = qfi_dense(block, s1)
     shape = closed_s.shape
     return _sphere_map("birefringence", thetas, phis, (closed_s, 4.0),
                        (engine_s.reshape(shape), engine_i.reshape(shape)), 0.0, 1e-8)
@@ -357,7 +356,7 @@ def coherent_state(nbar: float) -> PureState:
     if not 0.0 <= nbar <= MAX_NBAR:
         raise ContractViolation(f"mean photon number must lie in [0, {MAX_NBAR:g}], got {nbar}")
     if nbar == 0.0:
-        return PureState(np.ones(1), "fock")
+        return PureState(np.ones(1))
     size = kerr_truncation(nbar)
     # log-domain Poisson weights relative to the mode m = floor(nbar):
     # log(p_k / p_m) sums log(nbar / j) over the levels j between them, so
@@ -367,11 +366,7 @@ def coherent_state(nbar: float) -> PureState:
     log_p = np.zeros(size)
     log_p[mode + 1 :] = np.cumsum(steps[mode:])
     log_p[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
-    return PureState.normalized(np.exp(0.5 * log_p), "fock")
-
-
-def number_operator(truncation: int) -> HermitianOperator:
-    return HermitianOperator(np.diag(np.arange(truncation, dtype=np.complex128)))
+    return PureState.normalized(np.exp(0.5 * log_p))
 
 
 def kerr_qfi(nbar: float) -> tuple[float, float]:
@@ -381,7 +376,7 @@ def kerr_qfi(nbar: float) -> tuple[float, float]:
     over the whole range [0, MAX_NBAR].
     """
     probe = coherent_state(nbar)
-    # the number operator is diagonal: pass its eigenvalues, not a dense matrix
+    # the Fock basis is the photon-number eigenbasis, with spectrum 0, 1, 2, ...
     sqpe, iqpe = qfi_batch(probe.amplitudes[None, :], np.arange(probe.dim, dtype=float))
     return float(sqpe[0]), float(iqpe[0])
 

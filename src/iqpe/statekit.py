@@ -1,14 +1,8 @@
-"""Dense complex linear-algebra substrate: states, operators, eigensolver,
-matrix exponential, tensor products.
+"""Dense complex linear-algebra substrate: states, operators, variance,
+eigensolver, matrix exponential.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to call concurrently.
-
-Tensor-product convention (fixed globally): the first factor is the slow
-(outer) index.  Joint meter+probe objects are always built as
-``tensor(meter, probe)``, so a block expression ``A \\oplus B`` on the joint
-space means meter basis state 0 selects block ``A`` and meter basis state 1
-selects block ``B``.
 """
 
 from __future__ import annotations
@@ -24,11 +18,9 @@ __all__ = [
     "PureState",
     "HermitianOperator",
     "UnitaryMatrix",
-    "expectation",
     "variance",
     "herm_eig",
     "expm_herm_generator",
-    "tensor",
     "apply_unitary",
 ]
 
@@ -49,10 +41,9 @@ def _frozen_complex_array(values, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over a finite labeled basis."""
+    """Normalized complex amplitude vector over a finite basis."""
 
     amplitudes: np.ndarray
-    basis_label: str = ""
 
     def __post_init__(self):
         arr = _frozen_complex_array(self.amplitudes, ndim=1)
@@ -70,19 +61,19 @@ class PureState:
         return self.amplitudes.size
 
     @staticmethod
-    def normalized(values, basis_label: str = "") -> "PureState":
+    def normalized(values) -> "PureState":
         """Build a state from an unnormalized amplitude vector."""
         arr = np.asarray(values, dtype=np.complex128)
         norm = np.linalg.norm(arr)
         if norm == 0.0:
             raise ContractViolation("cannot normalize the zero vector")
-        return PureState(arr / norm, basis_label)
+        return PureState(arr / norm)
 
     @staticmethod
-    def basis_vector(dim: int, index: int, basis_label: str = "") -> "PureState":
+    def basis_vector(dim: int, index: int) -> "PureState":
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0
-        return PureState(amps, basis_label)
+        return PureState(amps)
 
 
 @dataclass(frozen=True)
@@ -146,22 +137,6 @@ def _check_dims(op_dim: int, state_dim: int):
         )
 
 
-def expectation(op: HermitianOperator, state: PureState) -> float:
-    """<psi|op|psi> as a real scalar.
-
-    The imaginary residue must be below tolerance (it is asserted, then
-    discarded); a Hermitian operator cannot produce more than roundoff.
-    """
-    _check_dims(op.dim, state.dim)
-    psi = state.amplitudes
-    value = np.vdot(psi, op.entries @ psi)
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise ContractViolation(
-            f"expectation has imaginary residue {value.imag:.3e} above tolerance"
-        )
-    return float(value.real)
-
-
 def variance(op: HermitianOperator, state: PureState) -> float:
     """||(op - <op>) psi||^2.
 
@@ -208,21 +183,5 @@ def expm_herm_generator(op: HermitianOperator, scale: float) -> UnitaryMatrix:
 def apply_unitary(u: UnitaryMatrix, state: PureState) -> PureState:
     """u |state>, renormalization-free (unitarity preserves the norm contract)."""
     _check_dims(u.dim, state.dim)
-    return PureState(u.entries @ state.amplitudes, state.basis_label)
+    return PureState(u.entries @ state.amplitudes)
 
-
-def tensor(a, b):
-    """Kronecker product of two states or two operator-like matrices.
-
-    The first operand is the slow (outer) index.  Mixed kinds are rejected.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        label = f"{a.basis_label}*{b.basis_label}" if a.basis_label or b.basis_label else ""
-        return PureState(np.kron(a.amplitudes, b.amplitudes), label)
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.entries, b.entries))
-    if isinstance(a, UnitaryMatrix) and isinstance(b, UnitaryMatrix):
-        return UnitaryMatrix(np.kron(a.entries, b.entries))
-    raise ContractViolation(
-        f"tensor requires two operands of the same kind, got {type(a).__name__} and {type(b).__name__}"
-    )

@@ -16,7 +16,8 @@ from iqpe import protocol as pr
 from iqpe import scenarios as sc
 from iqpe.cli import main as cli_main
 from iqpe.qfi import ParameterizedDynamics, iqpe_qfi, qfi_upper_bounds, sqpe_qfi
-from iqpe.statekit import PureState, expectation
+from iqpe.statekit import PureState
+from oracles import expectation, number_operator
 
 
 def _report(num: int, description: str, passed: bool, detail: str = "") -> None:
@@ -96,7 +97,7 @@ def test_criterion_3_bound_ordering():
     scenarios = [
         ParameterizedDynamics(sc.stokes_operators()[0]),
         ParameterizedDynamics(sc.modal_ladder(4).lz),
-        ParameterizedDynamics(sc.number_operator(48)),
+        ParameterizedDynamics(number_operator(48)),
     ]
     ok = True
     for dyn in scenarios:

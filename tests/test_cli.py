@@ -230,6 +230,15 @@ def test_delta_phi_flag_keeps_the_library_edge():
     assert protocol.RotationProtocol(5, math.radians(args.delta_phi_deg)).delta_phi == math.pi
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha-deg", "-1e-4"), ("--delta-phi-deg", "-1e1")])
+def test_negative_exponent_flag_is_a_value(tmp_path, flag, value):
+    # argparse's own pattern took -1e-4 for an option string
+    base = ["rotation-sim", "--l", "5", "--alpha-deg", "0", "--trials", "100", "--seed", "1"]
+    assert main(base + [flag, value, "--out", str(tmp_path / "word")]) == 0
+    assert main(base + [f"{flag}={value}", "--out", str(tmp_path / "joined")]) == 0
+    assert artifact_bytes(tmp_path / "word") == artifact_bytes(tmp_path / "joined")
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
 def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
     if kind == "directory":
@@ -447,8 +456,8 @@ def assert_no_non_finite_tokens(out_dir):
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "inf",
           "--seed", "1"], "--delta-phi-deg"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "inf", "--seed", "1"], "--alpha-deg"),
-        # as a word of its own, argparse would take -inf for an option
         (["rotation-sim", "--l", "5", "--alpha-deg=-inf", "--seed", "1"], "--alpha-deg"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "-inf", "--seed", "1"], "--alpha-deg"),
     ],
 )
 def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
@@ -472,6 +481,7 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
         (["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "1"],
          "--resolution", ">= 2"),
         (["kerr", "--nbar", "-1"], "--nbar", ">= 0"),
+        (["kerr", "--nbar", "-1e-3"], "--nbar", ">= 0"),
         (["kerr", "--nbar", "1000001"], "--nbar", "<= 1000000"),
         (["qfi-map", "--scenario", "birefringence", "--order-n", "3"], "--order-n",
          "only to the rotation scenario"),
@@ -481,8 +491,8 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
           "--seed", "1"], "--delta-phi-deg", "in (-180, 180]"),
     ],
     ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "map-order",
-         "map-resolution", "kerr-nbar", "kerr-nbar-cap", "birefringence-order",
-         "sim-delta-phi", "sim-delta-phi-edge"],
+         "map-resolution", "kerr-nbar", "kerr-nbar-exponent", "kerr-nbar-cap",
+         "birefringence-order", "sim-delta-phi", "sim-delta-phi-edge"],
 )
 def test_out_of_range_flag_is_config_error(tmp_path, capsys, argv, flag, rule):
     out = tmp_path / "x"
@@ -508,6 +518,25 @@ def test_band_above_nyquist_is_config_error_in_spectrum_mode(tmp_path, capsys, c
         err = capsys.readouterr().err
         assert f"{bad}:{len(lines)},{rate_line}:" in err
         assert "'band_hi_hz'" in err and "'sample_rate'" in err
+
+
+@pytest.mark.parametrize("config", [SPECTRUM_CONFIG, FIT_CONFIG], ids=["spectrum", "fit"])
+def test_signal_above_nyquist_is_config_error(tmp_path, capsys, config):
+    # sample_rate = 60e3 in both configs, and both modes synthesize a record
+    lines = Path(config).read_text().splitlines()
+    freq_line = next(k for k, line in enumerate(lines, 1) if line.startswith("signal_freq_hz ="))
+    rate_line = next(k for k, line in enumerate(lines, 1) if line.startswith("sample_rate ="))
+    for value, code in (("30e3", 0), ("40e3", 1)):
+        lines[freq_line - 1] = f"signal_freq_hz = {value}"
+        bad = tmp_path / f"{value}.cfg"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / value
+        assert main(["experiment", "--config", str(bad), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"{bad}:{freq_line},{rate_line}:" in err
+            assert "'signal_freq_hz'" in err and "'sample_rate'" in err
+            assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -9,16 +9,15 @@ from iqpe import protocol
 from iqpe.protocol import (
     RotationProtocol,
     ShotRecord,
-    cfi,
     crb_stddev,
     estimate_alpha,
-    indefinite_rotation_unitary,
     monte_carlo_precision,
     projection_probabilities,
     trial_rng,
 )
 from iqpe.scenarios import modal_ladder
-from iqpe.statekit import ContractViolation, PureState, tensor
+from iqpe.statekit import ContractViolation, PureState
+from oracles import cfi, indefinite_rotation_unitary, tensor
 
 # ---------------------------------------------------------------------------
 # types
@@ -59,7 +58,7 @@ def test_unitary_blocks_l1():
 def test_unitary_reproduces_joint_state_amplitudes():
     l, alpha = 4, 0.23
     ladder = modal_ladder(l)
-    plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0), "HV")
+    plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
     joint = tensor(plus, ladder.basis_state(l))
     final = indefinite_rotation_unitary(RotationProtocol(l), alpha).entries @ joint.amplitudes
     top = ladder.index_of(l)
@@ -77,7 +76,7 @@ def test_unitary_reproduces_joint_state_amplitudes():
 def state_route_probabilities(proto, alpha):
     """pL, pR by evolving |+>|l> explicitly and projecting the meter on |L>, |R>."""
     ladder = modal_ladder(proto.oam_l)
-    meter = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0), "HV")
+    meter = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
     joint = tensor(meter, ladder.basis_state(proto.oam_l))
     evolved = indefinite_rotation_unitary(proto, alpha).entries @ joint.amplitudes
     # systematic phase offset on the |V> branch

