@@ -393,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--delta-phi-deg", default=0.0, type=_flag(emulator._ranged(
         emulator.finite_float, lambda v: -math.pi < math.radians(v) <= math.pi,
         "in (-180, 180]")))
-    p_sim.add_argument("--nu", type=_int_in(protocol.MIN_NU), default=10**6,
-                       help="photons per trial")
+    p_sim.add_argument("--nu", default=10**6, help="photons per trial", type=_flag(
+        emulator._ranged(int, lambda v: protocol.MIN_NU <= v <= protocol.MAX_NU,
+                         f">= {protocol.MIN_NU} and <= {protocol.MAX_NU}")))
     p_sim.add_argument("--trials", type=_int_in(protocol.MIN_TRIALS), default=10_000)
     p_sim.add_argument("--seed", type=_int_in(0), required=True)
     p_sim.add_argument("--out", required=True)

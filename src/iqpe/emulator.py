@@ -432,7 +432,8 @@ def parse_run_config(path) -> RunConfig:
 
     The keys, their casts and defaults are ``_CONFIG_TABLE``; floats must be
     finite, and each cast also checks its key's range.  Unknown keys and
-    out-of-range values are errors (reported with the key and line number).
+    out-of-range values are errors (reported with the key and line number),
+    and so is a spectrum-mode signal past the arcsin fold.
     """
     values = _parse_kv_lines(path)
     for key, (_, lineno) in values.items():
@@ -458,12 +459,29 @@ def parse_run_config(path) -> RunConfig:
             f"must not exceed the Nyquist frequency 'sample_rate'/2 ({nyquist})"
         )
     # the remaining keys are RunConfig field names
-    return RunConfig(
+    cfg = RunConfig(
         l_values=v.pop("l"),
         noise=NoiseSpec(phase_asd=v.pop("noise.phase_asd"), shot=v.pop("noise.shot")),
         band=(v.pop("band_lo_hz"), v.pop("band_hi_hz")),
         **v,
     )
+    # the arcsin demodulation identifies the angle only while the phase
+    # 2*l*alpha(t) + delta_phi stays inside (-pi/2, pi/2); a sinusoid's alpha
+    # sweeps [-|A|, |A|], a constant one is A
+    if cfg.mode == "spectrum":
+        l, amp, offset = cfg.l_values[0], cfg.signal_amp_rad, cfg.delta_phi_rad
+        if cfg.signal_freq_hz > 0.0:
+            reach = 2.0 * l * abs(amp) + abs(offset)
+        else:
+            reach = abs(2.0 * l * amp + offset)
+        if not reach < math.pi / 2.0:
+            raise ConfigError(
+                f"{path}:{_lines(values, 'l', 'signal_amp_rad', 'delta_phi_rad')}: the "
+                f"phase 2*l*alpha + delta_phi reaches {reach!r}, not below pi/2, so "
+                f"'signal_amp_rad' ({amp}) cannot be identified at 'l' = {l} and "
+                f"'delta_phi_rad' = {offset}"
+            )
+    return cfg
 
 
 def calibrated_noise() -> NoiseSpec:

@@ -40,6 +40,8 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 # Fewest trials, and fewest photons per trial, of a Monte Carlo run.
 MIN_TRIALS = 100
 MIN_NU = 1000
+# Most photons per trial: the largest count Generator.binomial takes (int64).
+MAX_NU = 2**63 - 1
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
@@ -147,8 +149,8 @@ def monte_carlo_precision(
     """
     if trials < MIN_TRIALS:
         raise ContractViolation(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    if nu < MIN_NU:
-        raise ContractViolation(f"nu must be >= {MIN_NU}, got {nu}")
+    if not MIN_NU <= nu <= MAX_NU:
+        raise ContractViolation(f"nu must be >= {MIN_NU} and <= {MAX_NU}, got {nu}")
     total_phase = 2.0 * proto.oam_l * alpha_true + proto.delta_phi
     if not abs(total_phase) < math.pi / 2.0:
         raise ContractViolation(

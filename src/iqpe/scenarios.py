@@ -20,7 +20,7 @@ Conventions fixed here and inherited everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,8 @@ from .statekit import (
     PureState,
     apply_unitary,
     expm_herm_generator,
-    herm_eig,
 )
-from .tolerances import STRUCTURAL_TOL
+from .tolerances import SPECTRAL_TOL, STRUCTURAL_TOL, UNITARY_TOL
 
 __all__ = [
     "SPHERE_MAP_DTYPE",
@@ -51,8 +50,6 @@ __all__ = [
     "kerr_truncation",
     "lg_field",
     "field_rotation_check",
-    "save_lg_field",
-    "load_lg_field",
 ]
 
 MAX_LADDER_ORDER = 300
@@ -87,16 +84,12 @@ class SpherePoint:
 class ModalLadder:
     """su(2) ladder operators of the order-N transverse-mode space.
 
-    Built from the order alone: j1, j2, j3 are the spin-(N/2) matrices, from
-    the standard raising/lowering matrix elements, on the space spanned by
-    |N, l> with l = ``oam_values()`` = N, N-2, ..., -N.  lz = 2*j3 is diag(l).
+    Holds the order alone.  j1, j2, j3 are the spin-(N/2) matrices, built on
+    access from ``raising_elements()``, on the space spanned by |N, l> with
+    l = ``oam_values()`` = N, N-2, ..., -N.  lz = 2*j3 is diag(l).
     """
 
     order_N: int
-    j1: HermitianOperator = dataclass_field(init=False, repr=False, compare=False)
-    j2: HermitianOperator = dataclass_field(init=False, repr=False, compare=False)
-    j3: HermitianOperator = dataclass_field(init=False, repr=False, compare=False)
-    lz: HermitianOperator = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = self.order_N
@@ -104,18 +97,34 @@ class ModalLadder:
             raise ContractViolation(
                 f"order must be an integer in [0, {MAX_LADDER_ORDER}], got {order!r}"
             )
-        j = order / 2.0
-        oam = self.oam_values()
-        m = oam / 2.0  # descending: j, j-1, ..., -j
-        # raising: <m+1|J+|m> = sqrt(j(j+1) - m(m+1)); with descending basis the
-        # raising operator populates the superdiagonal.
-        raise_elems = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-        j_plus = np.diag(raise_elems.astype(np.complex128), k=1)
-        j_minus = j_plus.conj().T
-        object.__setattr__(self, "j1", HermitianOperator(0.5 * (j_plus + j_minus)))
-        object.__setattr__(self, "j2", HermitianOperator(-0.5j * (j_plus - j_minus)))
-        object.__setattr__(self, "j3", HermitianOperator(np.diag(m.astype(np.complex128))))
-        object.__setattr__(self, "lz", HermitianOperator(np.diag(oam.astype(np.complex128))))
+
+    def raising_elements(self) -> np.ndarray:
+        """<m+1|J+|m> = sqrt(j(j+1) - m(m+1)) for m = j-1, ..., -j.
+
+        In the descending basis they are the superdiagonal of J+; j1 is
+        (J+ + J-)/2 and j2 is (J+ - J-)/(2i).
+        """
+        j = self.order_N / 2.0
+        m = self.oam_values()[1:] / 2.0
+        return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+
+    @property
+    def j1(self) -> HermitianOperator:
+        half = 0.5 * self.raising_elements()
+        return HermitianOperator(np.diag(half, 1) + np.diag(half, -1))
+
+    @property
+    def j2(self) -> HermitianOperator:
+        half = 0.5j * self.raising_elements()
+        return HermitianOperator(np.diag(-half, 1) + np.diag(half, -1))
+
+    @property
+    def j3(self) -> HermitianOperator:
+        return HermitianOperator(np.diag(self.oam_values() / 2.0))
+
+    @property
+    def lz(self) -> HermitianOperator:
+        return HermitianOperator(np.diag(self.oam_values()))
 
     @property
     def dim(self) -> int:
@@ -285,21 +294,52 @@ def hlg_state(ladder: ModalLadder, l: int, pt: SpherePoint) -> PureState:
     return apply_unitary(expm_herm_generator(ladder.j3, pt.phi), tilted)
 
 
+def _tilted_modes(ladder: ModalLadder, l: int, thetas: np.ndarray) -> np.ndarray:
+    """exp(-1j*j2*theta)|N, l> for every theta, one row each.
+
+    j1 is real, symmetric and tridiagonal, and j2 = D j1 D^dag with
+    D = diag(i^k), so one float64 eigendecomposition j1 = V diag(lam) V^T
+    serves: the tilted mode is D V (e^{-i lam theta} o V^T D^dag |N, l>).
+    D scales the columns of the (len(thetas), N+1) block, not V.  The
+    eigenpair residual and ||V^T V - I||_F are held to SPECTRAL_TOL and
+    UNITARY_TOL, as ``herm_eig`` holds them.
+    """
+    n, start = ladder.dim, ladder.index_of(l)
+    half = 0.5 * ladder.raising_elements()
+    j1 = np.zeros((n, n))
+    j1.flat[1 :: n + 1] = j1.flat[n :: n + 1] = half
+    lam, v = np.linalg.eigh(j1)
+    del j1  # at most three (N+1)^2 arrays are held at once
+    residual = v * lam  # v lam - j1 v, from j1's two off-diagonals
+    residual[:-1] -= half[:, None] * v[1:]
+    residual[1:] -= half[:, None] * v[:-1]
+    worst = float(np.max(np.abs(residual), initial=0.0))
+    del residual
+    gram = v.T @ v
+    gram.flat[:: n + 1] -= 1.0
+    drift = float(np.linalg.norm(gram))
+    if not (worst <= SPECTRAL_TOL and drift <= UNITARY_TOL):
+        raise ContractViolation(
+            f"eigenpairs of j1: residual {worst:.3e}, ||V^T V - I||_F = {drift:.3e}"
+        )
+    # D^dag |N, l> = (-i)^start |start>; V stays real (no complex copy of it),
+    # and 1j ** k is exact for k in 0..3
+    phased = np.exp(-1j * np.outer(thetas, lam)) * v[start]
+    tilted = phased.real @ v.T + 1j * (phased.imag @ v.T)
+    return tilted * 1j ** ((np.arange(n) - start) % 4)
+
+
 def _rotation_engine(
     ladder: ModalLadder, thetas: np.ndarray, phis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Engine QFIs of the top-OAM mode rotated to every (theta, phi) point.
 
-    The states are those of ``hlg_state``, built from one eigendecomposition
-    j2 = V diag(lam) V^dag: the tilted start mode is
-    V (e^{-i lam theta} o conj(V[k, :])) for every theta at once, and the phi
-    rotation is a diagonal phase.  Each theta's row of states is one block of
-    the QFI kernel.  Returns two ``(len(thetas), len(phis))`` arrays.
+    The states are those of ``hlg_state``: the tilted start modes of
+    ``_tilted_modes``, then the phi rotation as a diagonal phase.  Each
+    theta's row of states is one block of the QFI kernel.  Returns two
+    ``(len(thetas), len(phis))`` arrays.
     """
-    lam, vectors = herm_eig(ladder.j2)
-    v = vectors.entries
-    start = v[ladder.index_of(ladder.order_N)].conj()
-    tilted = (np.exp(-1j * np.outer(thetas, lam)) * start) @ v.T
+    tilted = _tilted_modes(ladder, ladder.order_N, thetas)
     oam = ladder.oam_values().astype(float)
     twist = np.exp(-0.5j * np.outer(phis, oam))  # exp(-1j * j3 * phi), j3 = lz / 2
     engine_s = np.empty((len(thetas), len(phis)))
@@ -467,60 +507,3 @@ def field_rotation_check(field: LgFieldSample, alpha: float) -> complex:
         raise ContractViolation("rotation check requires a pure p=0 LG field")
     rotated = rotate_field(field, alpha)
     return complex(np.sum(rotated.conj() * field.grid) * field.cell_area())
-
-
-_LG_MAGIC = "lgfield v1"
-
-
-def save_lg_field(field: LgFieldSample, path) -> None:
-    """Flat binary dump: ASCII header, then grid_n^2 little-endian complex128.
-
-    Header lines: magic, grid_n, extent, p, l, dtype, then ``end``.  The grid
-    is row-major with the y index slow, matching LgFieldSample.grid.
-    """
-    header = (
-        f"{_LG_MAGIC}\n"
-        f"grid_n {field.grid_n}\n"
-        f"extent {field.extent:.17g}\n"
-        f"p {field.p}\n"
-        f"l {field.l}\n"
-        f"dtype complex128-le\n"
-        f"end\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(field.grid, dtype="<c16").tobytes())
-
-
-def load_lg_field(path) -> LgFieldSample:
-    """Read a ``save_lg_field`` file; any deviation from its format raises
-    ContractViolation naming the problem."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    first = data.split(b"\n", 1)[0]
-    if first != _LG_MAGIC.encode("ascii"):
-        raise ContractViolation(f"not a {_LG_MAGIC} file: starts {first[:32]!r}")
-    header, found, body = data.partition(b"\nend\n")
-    if not found:
-        raise ContractViolation("truncated field-file header: no end line")
-    try:
-        meta = dict(line.split(" ", 1) for line in header.decode("ascii").splitlines()[1:])
-        grid_n, extent = int(meta["grid_n"]), float(meta["extent"])
-        p, l, dtype = int(meta["p"]), int(meta["l"]), meta["dtype"]
-    except UnicodeDecodeError:
-        raise ContractViolation("field-file header is not ASCII") from None
-    except KeyError as exc:
-        raise ContractViolation(f"field-file header lacks {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ContractViolation(f"malformed field-file header: {exc}") from None
-    if dtype != "complex128-le":
-        raise ContractViolation(f"unknown field-file dtype {dtype!r}")
-    if grid_n < 2:
-        raise ContractViolation(f"field-file grid_n must be >= 2, got {grid_n}")
-    if len(body) != grid_n * grid_n * 16:
-        raise ContractViolation(
-            f"field-file body holds {len(body)} bytes, not the "
-            f"{grid_n * grid_n * 16} of {grid_n}^2 complex128 values"
-        )
-    grid = np.frombuffer(body, dtype="<c16").reshape(grid_n, grid_n)
-    return LgFieldSample(grid, extent, p, l)

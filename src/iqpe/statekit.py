@@ -98,10 +98,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @staticmethod
-    def identity(dim: int) -> "HermitianOperator":
-        return HermitianOperator(np.eye(dim, dtype=np.complex128))
-
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
@@ -124,10 +120,6 @@ class UnitaryMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @staticmethod
-    def identity(dim: int) -> "UnitaryMatrix":
-        return UnitaryMatrix(np.eye(dim, dtype=np.complex128))
 
 
 def _check_dims(op_dim: int, state_dim: int):

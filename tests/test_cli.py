@@ -477,6 +477,8 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
          "--trials", ">= 100"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu", "999"],
          "--nu", ">= 1000"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu",
+          "100000000000000000000"], "--nu", "<= 9223372036854775807"),
         (["qfi-map", "--scenario", "rotation", "--order-n", "301"], "--order-n", "[0, 300]"),
         (["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "1"],
          "--resolution", ">= 2"),
@@ -490,7 +492,7 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "-180",
           "--seed", "1"], "--delta-phi-deg", "in (-180, 180]"),
     ],
-    ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "map-order",
+    ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "sim-nu-cap", "map-order",
          "map-resolution", "kerr-nbar", "kerr-nbar-exponent", "kerr-nbar-cap",
          "birefringence-order", "sim-delta-phi", "sim-delta-phi-edge"],
 )
@@ -500,6 +502,21 @@ def test_out_of_range_flag_is_config_error(tmp_path, capsys, argv, flag, rule):
     err = capsys.readouterr().err
     assert flag in err and rule in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("nu", [protocol.MIN_NU, protocol.MAX_NU], ids=["min", "max"])
+def test_nu_range_ends_run(tmp_path, capsys, nu):
+    # both ends of the --nu range README states; one past the top is one
+    # error line, not the OverflowError of Generator.binomial
+    argv = ["rotation-sim", "--l", "5", "--alpha-deg", "0.001", "--trials", "100",
+            "--seed", "1", "--nu"]
+    assert main(argv + [str(nu), "--out", str(tmp_path / "ok")]) == 0
+    assert read_json(tmp_path / "ok" / "rotation_sim.json")["nu"] == nu
+    capsys.readouterr()
+    beyond = nu - 1 if nu == protocol.MIN_NU else nu + 1
+    assert main(argv + [str(beyond), "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: argument --nu:")
 
 
 @pytest.mark.parametrize(
@@ -537,6 +554,35 @@ def test_signal_above_nyquist_is_config_error(tmp_path, capsys, config):
             assert f"{bad}:{freq_line},{rate_line}:" in err
             assert "'signal_freq_hz'" in err and "'sample_rate'" in err
             assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "freq, amp, offset, code",
+    [
+        ("20e3", "1e-2", "0", 1),  # 2*l*|A| = 3 rad
+        ("20e3", "5e-3", "0.1", 1),  # 1.5 + 0.1 at the sinusoid's crest
+        ("20e3", "5e-3", "0", 0),  # 1.5
+        ("0", "5e-3", "-0.1", 0),  # a constant angle: |1.5 - 0.1|
+        ("0", "5e-3", "0.1", 1),  # |1.5 + 0.1|
+    ],
+    ids=["amp-1e-2", "sine-past-fold", "sine-inside", "constant-inside", "constant-past-fold"],
+)
+def test_spectrum_phase_past_fold_is_config_error(tmp_path, capsys, freq, amp, offset, code):
+    # the arcsin readout identifies the angle only while |2*l*alpha + delta_phi|
+    # stays below pi/2; the shipped spectrum config has l = 150
+    lines = Path(SPECTRUM_CONFIG).read_text().splitlines()
+    at = {line.split(" =")[0]: k for k, line in enumerate(lines, 1) if " = " in line}
+    for key, value in (("signal_freq_hz", freq), ("signal_amp_rad", amp), ("delta_phi_rad", offset)):
+        lines[at[key] - 1] = f"{key} = {value}"
+    cfg = tmp_path / "fold.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"{cfg}:{at['l']},{at['signal_amp_rad']},{at['delta_phi_rad']}:" in err
+        assert "'signal_amp_rad'" in err and "pi/2" in err
+        assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -276,6 +276,12 @@ def test_monte_carlo_argument_guards():
         monte_carlo_precision(proto, 0.0, 100, 500, seed=1)
 
 
+def test_monte_carlo_refuses_nu_above_binomial_range():
+    # Generator.binomial takes an int64 count; one more would overflow there
+    with pytest.raises(ContractViolation, match="9223372036854775807"):
+        monte_carlo_precision(RotationProtocol(5), 0.0, 2**63, 100, seed=1)
+
+
 def test_trial_rng_streams():
     a = trial_rng(7, 0).standard_normal(4)
     b = trial_rng(7, 0).standard_normal(4)

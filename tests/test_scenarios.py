@@ -1,6 +1,7 @@
 """Scenario layer: Stokes algebra, modal ladder, sphere maps, LG fields."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from iqpe import scenarios
 from iqpe.qfi import ParameterizedDynamics, iqpe_qfi, sqpe_qfi
 from iqpe.scenarios import (
-    LgFieldSample,
     ModalLadder,
     SpherePoint,
     birefringence_qfi_map,
@@ -19,11 +19,9 @@ from iqpe.scenarios import (
     hlg_state,
     kerr_qfi,
     lg_field,
-    load_lg_field,
     modal_ladder,
     polarization_state,
     rotation_qfi_map,
-    save_lg_field,
     stokes_operators,
 )
 from iqpe.statekit import ContractViolation, herm_eig, variance
@@ -196,6 +194,20 @@ def test_hlg_equator_zero_oam():
     assert expectation(ladder.lz, state) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 7, 40, 151, 300])
+def test_tilted_modes_match_hlg_state(order):
+    # the map tilts through j2 = D j1 D^dag with D = diag(i^k); every QFI sees
+    # theta only through sin^2(theta), so only the amplitudes tell a tilt by
+    # +j2 from one by -j2
+    ladder = modal_ladder(order)
+    thetas = np.array([0.0, 0.3, 1.2, math.pi / 2.0, 2.0, 3.0])
+    for l in sorted({order, order - 2 * (order // 2)}):
+        tilted = scenarios._tilted_modes(ladder, l, thetas)
+        for row, theta in zip(tilted, thetas):
+            expected = hlg_state(ladder, l, SpherePoint(theta, 0.0)).amplitudes
+            assert np.max(np.abs(row - expected)) <= 1e-12
+
+
 def test_hlg_rejects_invalid_l():
     ladder = modal_ladder(4)
     with pytest.raises(ContractViolation):
@@ -292,6 +304,18 @@ def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
             oracle_i = 4.0 * float(np.vdot(v_psi, v_psi).real)
             assert engine_s[k, j] == pytest.approx(oracle_s, rel=1e-9, abs=1e-12)
             assert engine_i[k, j] == pytest.approx(oracle_i, rel=1e-9, abs=1e-12)
+
+
+def test_rotation_map_holds_no_dense_complex_ladder():
+    # the top-order map allocates at most four real (N+1)^2 matrices at once
+    tracemalloc.start()
+    try:
+        rotation_qfi_map(scenarios.MAX_LADDER_ORDER, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = scenarios.MAX_LADDER_ORDER + 1
+    assert peak <= 4 * dim * dim * 8
 
 
 def test_rotation_cross_check_names_worst_point(monkeypatch):
@@ -482,40 +506,3 @@ def test_field_rotation_requires_pure_radial_mode():
     field = lg_field(1, 1, 129, 5.0)
     with pytest.raises(ContractViolation):
         field_rotation_check(field, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# file interfaces
-# ---------------------------------------------------------------------------
-
-
-def test_lg_field_round_trip(tmp_path):
-    field = lg_field(0, 3, 129, 5.5)
-    path = tmp_path / "mode.lgf"
-    save_lg_field(field, path)
-    loaded = load_lg_field(path)
-    assert isinstance(loaded, LgFieldSample)
-    assert loaded.p == 0 and loaded.l == 3
-    assert loaded.extent == field.extent
-    assert np.array_equal(loaded.grid, field.grid)
-
-
-@pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (lambda data: data[:-8], "body holds 248 bytes"),
-        (lambda data: data + bytes(16), "body holds 272 bytes"),
-        (lambda data: data.replace(b"l 0\n", b""), "header lacks 'l'"),
-        (lambda data: data.replace(b"complex128-le", b"complex64-le"), "unknown .* dtype"),
-        (lambda data: b"\x89PNG\r\n\x1a\n" + bytes(64), "not a lgfield v1 file"),
-        (lambda data: data[:-16] + np.array([np.nan], dtype="<c16").tobytes(), "norm\\^2 nan"),
-    ],
-    ids=["truncated-body", "trailing-bytes", "missing-key", "unknown-dtype", "binary", "nan-body"],
-)
-def test_load_lg_field_rejects_malformed_file(tmp_path, corrupt, message):
-    path = tmp_path / "mode.lgf"
-    # 4x4 flat grid on [-1, 1]: cell area 4/9, so amplitude 3/8 normalizes it
-    save_lg_field(LgFieldSample(np.full((4, 4), 0.375), 1.0, 0, 0), path)
-    path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(ContractViolation, match=message):
-        load_lg_field(path)

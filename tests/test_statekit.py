@@ -74,7 +74,7 @@ def test_values_are_immutable():
 
 def test_expectation_identity_is_one():
     rng = np.random.default_rng(1)
-    ident = HermitianOperator.identity(2)
+    ident = HermitianOperator(np.eye(2))
     for _ in range(5):
         assert expectation(ident, random_state(rng, 2)) == pytest.approx(1.0, abs=1e-12)
 
@@ -93,12 +93,12 @@ def test_expectation_s1_on_circular_state():
 
 def test_expectation_dimension_mismatch():
     with pytest.raises(ContractViolation):
-        expectation(HermitianOperator.identity(3), PureState(np.array([1.0, 0.0])))
+        expectation(HermitianOperator(np.eye(3)), PureState(np.array([1.0, 0.0])))
 
 
 def test_variance_identity_is_zero():
     rng = np.random.default_rng(2)
-    ident = HermitianOperator.identity(4)
+    ident = HermitianOperator(np.eye(4))
     assert variance(ident, random_state(rng, 4)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -177,7 +177,7 @@ def test_tensor_basis_bookkeeping():
 
 
 def test_tensor_identity():
-    joint = tensor(HermitianOperator.identity(2), HermitianOperator.identity(3))
+    joint = tensor(HermitianOperator(np.eye(2)), HermitianOperator(np.eye(3)))
     assert np.allclose(joint.entries, np.eye(6))
 
 
@@ -193,7 +193,7 @@ def test_tensor_meter_outer_joint_state():
 
 def test_tensor_rejects_mixed_kinds():
     with pytest.raises(ContractViolation):
-        tensor(PureState(np.array([1.0, 0.0])), HermitianOperator.identity(2))
+        tensor(PureState(np.array([1.0, 0.0])), HermitianOperator(np.eye(2)))
 
 
 def test_tensor_associative():
