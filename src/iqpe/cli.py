@@ -220,8 +220,7 @@ def _cmd_rotation_sim(args) -> None:
     out_dir = _prepare_out(args.out)
     proto = protocol.RotationProtocol(args.l, math.radians(args.delta_phi_deg))
     alpha_true = math.radians(args.alpha_deg)
-    # the arcsin readout identifies alpha only while |2*l*alpha + delta_phi| < pi/2
-    if not abs(2.0 * args.l * alpha_true + proto.delta_phi) < math.pi / 2.0:
+    if protocol.outside_fold(args.l, alpha_true, alpha_true, proto.delta_phi) is not None:
         lo, hi = (
             math.degrees((edge - proto.delta_phi) / (2.0 * args.l))
             for edge in (-math.pi / 2.0, math.pi / 2.0)

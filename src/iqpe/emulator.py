@@ -20,13 +20,13 @@ reproduces the reported floor at l=150, not a prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .protocol import trial_rng
+from .protocol import outside_fold, trial_rng
 from .statekit import ContractViolation
 
 __all__ = [
@@ -69,7 +69,12 @@ PEAK_EXCLUSION_BINS = 3
 
 
 class ConfigError(ValueError):
-    """A run configuration file or value is malformed."""
+    """A run configuration file or value is malformed; ``keys`` names the
+    run-config keys of a broken rule, whose lines ``parse_run_config`` prints."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -308,7 +313,9 @@ def amplitude_spectrum(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed experiment run configuration."""
+    """Experiment run configuration, checked against every rule that spans
+    its keys however it is built (parsed, in code, ``dataclasses.replace``).
+    The range of a single key is its ``_CONFIG_TABLE`` cast."""
 
     mode: str
     l_values: tuple[int, ...]
@@ -323,22 +330,43 @@ class RunConfig:
     band: tuple[float, float] = DEFAULT_BAND
 
     def __post_init__(self):
-        if self.mode not in ("fit", "spectrum"):
-            raise ConfigError(f"mode must be 'fit' or 'spectrum', got {self.mode!r}")
-        if self.mode == "fit" and len(self.l_values) < 3:
-            raise ConfigError("fit mode needs at least 3 OAM values")
-        if self.mode == "spectrum" and (
-            len(self.l_values) != 1 or self.l_values[0] < 1
-        ):
-            raise ConfigError("spectrum mode takes exactly one OAM value >= 1")
-        if any(l < 0 for l in self.l_values):
-            raise ConfigError("OAM values must be >= 0")
-        if not self.noise.silent and self.seed is None:
-            raise ConfigError("a seed is required when noise is enabled")
-        if not self.sample_rate > 0.0:
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
-        if round(self.sample_rate * self.duration_s) < 1:
-            raise ConfigError(f"duration_s = {self.duration_s} gives no samples")
+        def require(holds: bool, message: str, *keys: str) -> None:
+            if not holds:
+                raise ConfigError(message, keys)
+
+        mode, ls, rate = self.mode, self.l_values, self.sample_rate
+        require(mode in ("fit", "spectrum"), f"mode must be 'fit' or 'spectrum', got {mode!r}",
+                "mode")
+        require(mode != "fit" or len(ls) >= 3, "fit mode needs at least 3 OAM values", "mode", "l")
+        require(mode != "spectrum" or (len(ls) == 1 and ls[0] >= 1),
+                "spectrum mode takes exactly one OAM value >= 1", "mode", "l")
+        require(all(l >= 0 for l in ls), "OAM values must be >= 0", "l")
+        # each OAM value's run writes the files named after it
+        require(len(set(ls)) == len(ls), f"'l' must hold distinct OAM values, got {ls}", "l")
+        require(self.noise.silent or self.seed is not None,
+                "a seed is required when noise is enabled", "noise.phase_asd", "noise.shot",
+                "seed")
+        require(rate > 0.0, f"sample_rate must be > 0, got {rate}", "sample_rate")
+        require(round(rate * self.duration_s) >= 1,
+                f"duration_s = {self.duration_s} gives no samples", "duration_s", "sample_rate")
+        (lo, hi), nyquist = self.band, rate / 2.0
+        require(lo < hi, f"'band_lo_hz' ({lo}) must be below 'band_hi_hz' ({hi})",
+                "band_lo_hz", "band_hi_hz")
+        # both modes synthesize a record; only a spectrum run takes a band
+        past_nyquist = f"must not exceed the Nyquist frequency 'sample_rate'/2 ({nyquist})"
+        require(self.signal_freq_hz <= nyquist,
+                f"'signal_freq_hz' ({self.signal_freq_hz}) {past_nyquist}", "signal_freq_hz",
+                "sample_rate")
+        require(mode == "fit" or hi <= nyquist, f"'band_hi_hz' ({hi}) {past_nyquist}",
+                "band_hi_hz", "sample_rate")
+        if mode == "spectrum":
+            # a sinusoid's alpha sweeps [-|A|, |A|], a constant one is A
+            l, amp, offset = ls[0], self.signal_amp_rad, self.delta_phi_rad
+            alphas = (-abs(amp), abs(amp)) if self.signal_freq_hz > 0.0 else (amp, amp)
+            reach = outside_fold(l, *alphas, offset)
+            require(reach is None, f"the phase 2*l*alpha + delta_phi reaches {reach!r}, not "
+                    f"below pi/2, so 'signal_amp_rad' ({amp}) cannot be identified at 'l' = "
+                    f"{l} and 'delta_phi_rad' = {offset}", "l", "signal_amp_rad", "delta_phi_rad")
 
 
 def _parse_kv_lines(path) -> dict[str, tuple[str, int]]:
@@ -431,57 +459,25 @@ def parse_run_config(path) -> RunConfig:
     """Parse a flat ``key = value`` run configuration file.
 
     The keys, their casts and defaults are ``_CONFIG_TABLE``; floats must be
-    finite, and each cast also checks its key's range.  Unknown keys and
-    out-of-range values are errors (reported with the key and line number),
-    and so is a spectrum-mode signal past the arcsin fold.
+    finite, and each cast also checks its key's range.  Unknown keys,
+    out-of-range values and broken ``RunConfig`` rules are errors, reported
+    with the file's lines of the keys concerned.
     """
     values = _parse_kv_lines(path)
     for key, (_, lineno) in values.items():
         if key not in _CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     v = {key: _take(values, path, key, *spec) for key, spec in _CONFIG_TABLE.items()}
-    lo, hi, nyquist = v["band_lo_hz"], v["band_hi_hz"], v["sample_rate"] / 2.0
-    if not lo < hi:
-        raise ConfigError(
-            f"{path}:{_lines(values, 'band_lo_hz', 'band_hi_hz')}: 'band_lo_hz' ({lo}) "
-            f"must be below 'band_hi_hz' ({hi})"
+    try:
+        # the remaining keys are RunConfig field names
+        return RunConfig(
+            l_values=v.pop("l"),
+            noise=NoiseSpec(phase_asd=v.pop("noise.phase_asd"), shot=v.pop("noise.shot")),
+            band=(v.pop("band_lo_hz"), v.pop("band_hi_hz")),
+            **v,
         )
-    # both modes synthesize a record; only a spectrum run takes a band
-    if not v["signal_freq_hz"] <= nyquist:
-        raise ConfigError(
-            f"{path}:{_lines(values, 'signal_freq_hz', 'sample_rate')}: 'signal_freq_hz' "
-            f"({v['signal_freq_hz']}) must not exceed the Nyquist frequency "
-            f"'sample_rate'/2 ({nyquist})"
-        )
-    if v["mode"] == "spectrum" and not hi <= nyquist:
-        raise ConfigError(
-            f"{path}:{_lines(values, 'band_hi_hz', 'sample_rate')}: 'band_hi_hz' ({hi}) "
-            f"must not exceed the Nyquist frequency 'sample_rate'/2 ({nyquist})"
-        )
-    # the remaining keys are RunConfig field names
-    cfg = RunConfig(
-        l_values=v.pop("l"),
-        noise=NoiseSpec(phase_asd=v.pop("noise.phase_asd"), shot=v.pop("noise.shot")),
-        band=(v.pop("band_lo_hz"), v.pop("band_hi_hz")),
-        **v,
-    )
-    # the arcsin demodulation identifies the angle only while the phase
-    # 2*l*alpha(t) + delta_phi stays inside (-pi/2, pi/2); a sinusoid's alpha
-    # sweeps [-|A|, |A|], a constant one is A
-    if cfg.mode == "spectrum":
-        l, amp, offset = cfg.l_values[0], cfg.signal_amp_rad, cfg.delta_phi_rad
-        if cfg.signal_freq_hz > 0.0:
-            reach = 2.0 * l * abs(amp) + abs(offset)
-        else:
-            reach = abs(2.0 * l * amp + offset)
-        if not reach < math.pi / 2.0:
-            raise ConfigError(
-                f"{path}:{_lines(values, 'l', 'signal_amp_rad', 'delta_phi_rad')}: the "
-                f"phase 2*l*alpha + delta_phi reaches {reach!r}, not below pi/2, so "
-                f"'signal_amp_rad' ({amp}) cannot be identified at 'l' = {l} and "
-                f"'delta_phi_rad' = {offset}"
-            )
-    return cfg
+    except ConfigError as exc:
+        raise ConfigError(f"{path}:{_lines(values, *exc.keys)}: {exc}", exc.keys) from None
 
 
 def calibrated_noise() -> NoiseSpec:
@@ -564,11 +560,11 @@ def precision_vs_oam(cfg: RunConfig, l_values: Sequence[int]) -> list[tuple[int,
     """
     if cfg.mode != "spectrum":
         raise ConfigError(f"noise-floor scan needs mode=spectrum, got {cfg.mode!r}")
+    # each l is a config of its own, checked before any run
+    scans = [replace(cfg, l_values=(int(l),)) for l in l_values]
     results = []
-    for i, l in enumerate(l_values):
-        if l < 1:
-            raise ConfigError(f"noise-floor scan takes OAM values >= 1, got {l}")
-        run = _run_single(cfg, int(l), stream_offset=8 * i)
-        spectrum = amplitude_spectrum(run.alpha, cfg.sample_rate, cfg.band)
-        results.append((int(l), spectrum.noise_floor))
+    for i, scan in enumerate(scans):
+        run = _run_single(scan, scan.l_values[0], stream_offset=8 * i)
+        spectrum = amplitude_spectrum(run.alpha, scan.sample_rate, scan.band)
+        results.append((run.l, spectrum.noise_floor))
     return results

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "estimate_alpha",
     "monte_carlo_precision",
     "crb_stddev",
+    "outside_fold",
 ]
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -100,6 +101,15 @@ class ShotRecord:
         object.__setattr__(self, "nu_total", self.nu_L + self.nu_R)
 
 
+def outside_fold(l: int, alpha_lo: float, alpha_hi: float, delta_phi: float) -> Optional[float]:
+    """The largest |2*l*alpha + delta_phi| over [alpha_lo, alpha_hi], or None
+    if it is below pi/2: the arcsin readout identifies alpha only inside that
+    fold.  The phase is linear in alpha, so the largest modulus is at an end
+    of the range; a NaN is never inside."""
+    reach = float(np.max(np.abs(2.0 * l * np.array([alpha_lo, alpha_hi]) + delta_phi)))
+    return None if reach < math.pi / 2.0 else reach
+
+
 def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[float, float]:
     """Click probabilities (pL, pR) of the circular-basis measurement.
 
@@ -142,20 +152,18 @@ def monte_carlo_precision(
     applies estimate_alpha.  Trial i uses the Philox stream keyed (seed, i),
     so results do not depend on evaluation order.  The estimate depends on
     the trial's count alone, so it is computed once per distinct count and
-    that same float is stored for every trial that drew the count.  The
-    arcsin readout identifies alpha only while |2*l*alpha + delta_phi| <
-    pi/2; past that fold the estimates are of another angle, so the run is
-    refused.
+    that same float is stored for every trial that drew the count.  An
+    alpha that ``outside_fold`` reports is refused: it reads another angle.
     """
     if trials < MIN_TRIALS:
         raise ContractViolation(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if not MIN_NU <= nu <= MAX_NU:
         raise ContractViolation(f"nu must be >= {MIN_NU} and <= {MAX_NU}, got {nu}")
-    total_phase = 2.0 * proto.oam_l * alpha_true + proto.delta_phi
-    if not abs(total_phase) < math.pi / 2.0:
+    reach = outside_fold(proto.oam_l, alpha_true, alpha_true, proto.delta_phi)
+    if reach is not None:
         raise ContractViolation(
             f"alpha={alpha_true} cannot be identified: |2*l*alpha + delta_phi| = "
-            f"{abs(total_phase)!r} is not below pi/2"
+            f"{reach!r} is not below pi/2"
         )
     p_l, _ = projection_probabilities(proto, alpha_true)
     estimates = np.empty(trials)

@@ -215,12 +215,13 @@ def _sin_sq(thetas: np.ndarray) -> np.ndarray:
 def _cross_check(label, thetas, phis, closed, engine, rtol, atol):
     """Compare closed forms with engine values over a (theta, phi) grid.
 
-    ``engine`` has shape ``(len(thetas), len(phis))`` and ``closed`` any
-    shape that broadcasts to it.  Raises at the point that exceeds
-    rtol * max(|closed|, |engine|) + atol by the most, or at a non-finite
-    engine value.
+    ``closed`` and ``engine`` broadcast together to ``(len(thetas),
+    len(phis))`` or to ``(len(thetas), 1)``, one value per theta for every
+    phi.  Raises at the point that exceeds rtol * max(|closed|, |engine|) +
+    atol by the most (for a value per theta, at the first phi), or at a
+    non-finite engine value.
     """
-    closed = np.broadcast_to(closed, engine.shape)
+    closed, engine = np.broadcast_arrays(closed, engine)
     excess = np.abs(closed - engine) - (
         rtol * np.maximum(np.abs(closed), np.abs(engine)) + atol
     )
@@ -329,36 +330,31 @@ def _tilted_modes(ladder: ModalLadder, l: int, thetas: np.ndarray) -> np.ndarray
     return tilted * 1j ** ((np.arange(n) - start) % 4)
 
 
-def _rotation_engine(
-    ladder: ModalLadder, thetas: np.ndarray, phis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_engine(ladder: ModalLadder, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Engine QFIs of the top-OAM mode rotated to every (theta, phi) point.
 
     The states are those of ``hlg_state``: the tilted start modes of
-    ``_tilted_modes``, then the phi rotation as a diagonal phase.  Each
-    theta's row of states is one block of the QFI kernel.  Returns two
-    ``(len(thetas), len(phis))`` arrays.
+    ``_tilted_modes``, then the phi rotation exp(-1j*j3*phi).  That rotation
+    is a diagonal unit-modulus phase in the Lz eigenbasis, so neither a
+    state's norm nor its weights |psi_k|^2 depend on phi: one kernel row
+    per theta holds for every phi.  Returns two ``(len(thetas), 1)`` arrays,
+    which broadcast over any phis.
     """
     tilted = _tilted_modes(ladder, ladder.order_N, thetas)
-    oam = ladder.oam_values().astype(float)
-    twist = np.exp(-0.5j * np.outer(phis, oam))  # exp(-1j * j3 * phi), j3 = lz / 2
-    engine_s = np.empty((len(thetas), len(phis)))
-    engine_i = np.empty_like(engine_s)
-    for k, mode in enumerate(tilted):
-        block = twist * mode
-        _check_normalized(block, "rotated mode")
-        engine_s[k], engine_i[k] = qfi_batch(block, oam)
-    return engine_s, engine_i
+    _check_normalized(tilted, "rotated mode")
+    engine_s, engine_i = qfi_batch(tilted, ladder.oam_values().astype(float))
+    return engine_s[:, None], engine_i[:, None]
 
 
 def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
     """QFI of the rotation angle over the modal sphere, top-OAM start mode.
 
     Closed forms for the l=N start state: 4 N sin^2(theta) and
-    4 N^2 cos^2(theta) + 4 N sin^2(theta).  Each grid point is cross-checked
-    against the matrix engine within 1e-6 relative.  Returns
-    ``SPHERE_MAP_DTYPE`` records, theta-major.  Other start modes have no
-    closed form here; use the engine directly for those.
+    4 N^2 cos^2(theta) + 4 N sin^2(theta).  Neither depends on phi, nor does
+    the matrix engine's value, which is cross-checked against them within
+    1e-6 relative once per theta.  Returns ``SPHERE_MAP_DTYPE`` records,
+    theta-major.  Other start modes have no closed form here; use the
+    engine directly for those.
     """
     ladder = modal_ladder(order_N)
     thetas, phis = _grid_axes(grid_resolution)
@@ -366,7 +362,7 @@ def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
     sin_sq = _sin_sq(thetas)[:, None]
     closed_s = 4.0 * n * sin_sq
     closed_i = 4.0 * n * n * (1.0 - sin_sq) + 4.0 * n * sin_sq
-    engine = _rotation_engine(ladder, thetas, phis)
+    engine = _rotation_engine(ladder, thetas)
     return _sphere_map("rotation", thetas, phis, (closed_s, closed_i), engine, 1e-6, 1e-8)
 
 

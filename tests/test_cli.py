@@ -66,9 +66,9 @@ def test_qfi_map_rotation(tmp_path):
 def test_qfi_map_engine_disagreement_is_numeric_error(tmp_path, monkeypatch, capsys):
     real = scenarios._rotation_engine
 
-    def perturbed(ladder, thetas, phis):
-        engine_s, engine_i = real(ladder, thetas, phis)
-        engine_s[1, 2] += 1.0
+    def perturbed(ladder, thetas):
+        engine_s, engine_i = real(ladder, thetas)
+        engine_s[1] += 1.0
         return engine_s, engine_i
 
     monkeypatch.setattr(scenarios, "_rotation_engine", perturbed)
@@ -76,7 +76,8 @@ def test_qfi_map_engine_disagreement_is_numeric_error(tmp_path, monkeypatch, cap
                  "--out", str(tmp_path / "map")])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"theta={math.pi / 3.0}, phi={math.pi / 2.0}" in err
+    # one engine value per theta holds for every phi; the first phi is named
+    assert f"theta={math.pi / 3.0}, phi=0.0" in err
 
 
 def test_qfi_map_birefringence_flat(tmp_path):
@@ -628,6 +629,30 @@ def test_experiment_out_of_range_value_names_key_and_line(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert f"{config}:{lineno}:" in err
     assert repr(key) in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, keys",
+    [
+        ("duration_s", "0", ("duration_s", "sample_rate")),
+        ("l", "1, 4", ("mode", "l")),
+        # each l writes record_l<l>.csv, so a repeated l would overwrite its own files
+        ("l", "1, 1, 5, 9", ("l",)),
+    ],
+    ids=["no-samples", "fit-two-l", "repeated-l"],
+)
+def test_run_config_rule_names_the_lines_of_its_keys(tmp_path, capsys, key, value, keys):
+    lines = Path(FIT_CONFIG).read_text().splitlines() + ["noise.phase_asd = 1e-6", "seed = 5"]
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+    at = {line.split(" =")[0]: k for k, line in enumerate(lines, 1) if " = " in line}
+    config = tmp_path / "bad.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:{','.join(str(at[k]) for k in keys)}: ")
+    assert key in err
     assert not (out / "manifest.json").exists()
 
 

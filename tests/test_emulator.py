@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqpe import emulator
 from iqpe.emulator import (
     VOLTS_PER_WATT,
     ConfigError,
     DetectorRecord,
     NoiseSpec,
+    RunConfig,
     amplitude_spectrum,
     calibrated_noise,
     demodulate_phase,
@@ -284,6 +286,27 @@ def test_floor_scan_needs_spectrum_config():
         floor_scan([50, 0])
 
 
+def test_floor_scan_refuses_l_past_fold_before_any_run(monkeypatch):
+    # 2*l*A = 2.1 rad at l = 2e7: the arcsin readout would report another floor
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every l was checked")
+
+    monkeypatch.setattr(emulator, "synthesize_record", no_run)
+    with pytest.raises(ConfigError, match="pi/2") as info:
+        precision_vs_oam(parse_run_config(SPECTRUM_CONFIG), [150, 20_000_000])
+    assert info.value.keys == ("l", "signal_amp_rad", "delta_phi_rad")
+
+
+@pytest.mark.parametrize(
+    "changes", [{"l_values": (20_000_000,)}, {"signal_amp_rad": 1e-2}], ids=["l", "amp"]
+)
+def test_replaced_config_past_fold_is_refused(changes):
+    # unchecked, the spectrum at l = 2e7 reads a 3.79e-8 peak for a 5.28e-8 signal
+    cfg = parse_run_config(SPECTRUM_CONFIG)
+    with pytest.raises(ConfigError, match="pi/2"):
+        run_spectrum_pipeline(dataclasses.replace(cfg, **changes))
+
+
 # ---------------------------------------------------------------------------
 # run configuration and pipelines
 # ---------------------------------------------------------------------------
@@ -353,6 +376,93 @@ def test_config_requires_seed_with_noise(tmp_path):
     )
     with pytest.raises(ConfigError, match="seed"):
         parse_run_config(cfg)
+
+
+def _near(bound):
+    """``bound`` (>= 0), a neighbouring float on either side, or a value
+    around it, never below 0."""
+    edges = [bound, math.nextafter(bound, math.inf), math.nextafter(bound, 0.0)]
+    return st.one_of(st.sampled_from(edges), st.floats(0.0, 2.0 * bound))
+
+
+@st.composite
+def run_config_fields(draw):
+    """RunConfig fields inside every key's cast range.  Every rule holds but
+    one, drawn at or just past its edge."""
+    at_edge = draw(st.sampled_from(
+        ["mode", "l", "seed", "duration_s", "band", "signal_freq_hz", "band_hi_hz", "fold"]
+    ))
+
+    def pick(rule, holds, edge):
+        return draw(edge if rule == at_edge else holds)
+
+    mode = pick("mode", st.sampled_from(["fit", "spectrum"]), st.just("static"))
+    if mode == "fit":
+        distinct = st.lists(st.integers(0, 300), min_size=3, max_size=5, unique=True)
+    else:
+        distinct = st.lists(st.integers(1, 300), min_size=1, max_size=1)
+    l_values = pick("l", distinct, st.lists(st.integers(0, 300), min_size=1, max_size=5))
+    rate = draw(st.sampled_from([60e3, 44.1e3, 1e3]))
+    nyquist = rate / 2.0
+    hi = pick("band_hi_hz", st.floats(1.0, nyquist), _near(nyquist))
+    offset = draw(st.floats(-0.5, 0.5))
+    edge = (math.pi / 2.0 - abs(offset)) / (2.0 * max(l_values[0], 1))
+    return dict(
+        mode=mode,
+        l_values=tuple(l_values),
+        power_w=draw(st.floats(1e-6, 1.0)),
+        delta_phi_rad=offset,
+        signal_freq_hz=pick("signal_freq_hz", st.sampled_from([0.0, 20.0]), _near(nyquist)),
+        signal_amp_rad=pick("fold", st.floats(0.0, edge / 2.0), _near(edge))
+        * draw(st.sampled_from([1.0, -1.0])),
+        sample_rate=rate,
+        duration_s=pick("duration_s", st.floats(1.0 / rate, 0.2),
+                        st.one_of(_near(0.5 / rate), st.floats(-1.0, 0.0))),
+        noise=NoiseSpec(draw(st.sampled_from([0.0, 1e-6])), draw(st.sampled_from([0.0, 1.0]))),
+        seed=pick("seed", st.integers(0, 2**63), st.none()),
+        band=(pick("band", st.floats(0.0, hi / 2.0), _near(hi)), hi),
+    )
+
+
+def _config_text(fields):
+    noise, (lo, hi), seed = fields["noise"], fields["band"], fields["seed"]
+    keys = {
+        "mode": fields["mode"],
+        "l": ", ".join(str(l) for l in fields["l_values"]),
+        **{key: repr(fields[key]) for key in (
+            "power_w", "delta_phi_rad", "signal_freq_hz", "signal_amp_rad", "sample_rate",
+            "duration_s")},
+        "band_lo_hz": repr(lo),
+        "band_hi_hz": repr(hi),
+        "noise.phase_asd": repr(noise.phase_asd),
+        "noise.shot": repr(noise.shot),
+        **({} if seed is None else {"seed": str(seed)}),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+def _built(make):
+    try:
+        return make()
+    except ConfigError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_config_fields())
+def test_parsed_and_built_configs_refuse_alike(tmp_path_factory, fields):
+    # one set of rules: a file is refused exactly when the same fields built
+    # in code are, for the same rule, with the file's lines in front
+    path = tmp_path_factory.getbasetemp() / "drawn.cfg"
+    path.write_text(_config_text(fields))
+    built = _built(lambda: RunConfig(**fields))
+    parsed = _built(lambda: parse_run_config(path))
+    if isinstance(built, ConfigError):
+        assert isinstance(parsed, ConfigError)
+        assert str(parsed).startswith(f"{path}:") and str(parsed).endswith(f": {built}")
+        assert parsed.keys == built.keys
+    else:
+        assert parsed == built
 
 
 def test_config_missing_required(tmp_path):

@@ -290,20 +290,21 @@ def test_variance_and_qfi_order_over_ladder_range(order, theta, phi):
     st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
 )
 def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
-    # the map's batched route (one eigh, diagonal phases, one kernel block per
-    # theta) against the per-point route: hlg_state, variance, second moment
+    # the map's batched route (one eigh, one kernel row per theta, which holds
+    # for every phi) against the per-point route at each drawn phi: hlg_state,
+    # variance, second moment
     ladder = modal_ladder(order)
     thetas = np.array([theta])
-    phis = np.array([0.0, phi])
-    engine_s, engine_i = scenarios._rotation_engine(ladder, thetas, phis)
+    engine_s, engine_i = scenarios._rotation_engine(ladder, thetas)
+    assert engine_s.shape == engine_i.shape == (1, 1)
     for k, t in enumerate(thetas):
-        for j, p in enumerate(phis):
+        for p in (0.0, phi):
             probe = hlg_state(ladder, order, SpherePoint(t, p))
             v_psi = ladder.lz.entries @ probe.amplitudes
             oracle_s = 4.0 * variance(ladder.lz, probe)
             oracle_i = 4.0 * float(np.vdot(v_psi, v_psi).real)
-            assert engine_s[k, j] == pytest.approx(oracle_s, rel=1e-9, abs=1e-12)
-            assert engine_i[k, j] == pytest.approx(oracle_i, rel=1e-9, abs=1e-12)
+            assert engine_s[k, 0] == pytest.approx(oracle_s, rel=1e-9, abs=1e-12)
+            assert engine_i[k, 0] == pytest.approx(oracle_i, rel=1e-9, abs=1e-12)
 
 
 def test_rotation_map_holds_no_dense_complex_ladder():
@@ -323,9 +324,9 @@ def test_rotation_cross_check_names_worst_point(monkeypatch):
     phis = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
     real = scenarios._rotation_engine
 
-    def perturbed(ladder, grid_thetas, grid_phis):
-        engine_s, engine_i = real(ladder, grid_thetas, grid_phis)
-        engine_i[3, 7] += 1e-3
+    def perturbed(ladder, grid_thetas):
+        engine_s, engine_i = real(ladder, grid_thetas)
+        engine_i[3] += 1e-3
         return engine_s, engine_i
 
     monkeypatch.setattr(scenarios, "_rotation_engine", perturbed)
@@ -333,7 +334,8 @@ def test_rotation_cross_check_names_worst_point(monkeypatch):
         rotation_qfi_map(4, 5)
     message = str(info.value)
     assert "rotation switched QFI" in message
-    assert f"theta={thetas[3]}, phi={float(phis[7])}" in message
+    # one engine value per theta holds for every phi; the first phi is named
+    assert f"theta={thetas[3]}, phi={float(phis[0])}" in message
 
 
 def test_cross_check_picks_largest_excess():
