@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import hashlib
 import json
 import math
 import os
@@ -34,6 +33,16 @@ import numpy as np
 from . import emulator, protocol, scenarios
 from .emulator import ConfigError
 from .statekit import ContractViolation
+
+# CPython's own SHA-256 (the same digests): hashlib would load OpenSSL's
+# _hashlib, a few MB of every run's peak RSS, to checksum a few KB
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a CPython built without its own hashes
+        from hashlib import sha256
 
 __all__ = ["main", "run"]
 
@@ -85,7 +94,7 @@ class _OutDir:
 
 def _put(out: _OutDir, name: str, data: bytes) -> None:
     _atomic_write(out.path / name, data)
-    out.checksums[name] = f"sha256:{hashlib.sha256(data).hexdigest()}"
+    out.checksums[name] = f"sha256:{sha256(data).hexdigest()}"
 
 
 def _schema(name: str) -> dict:

@@ -77,6 +77,21 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
+# The range of a single run-config number: its rule's text and its test.
+# Every comparison with NaN is false, so each test refuses NaN as well.
+_FINITE = ("a finite number", lambda v: -math.inf < v < math.inf)
+_NONNEGATIVE = ("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_POSITIVE = ("a finite number > 0", lambda v: 0.0 < v < math.inf)
+
+
+def _check_ranges(*checks) -> None:
+    """Raise ``ConfigError`` naming the first (key, value, range) whose
+    value lies outside its range."""
+    for key, value, (rule, holds) in checks:
+        if not holds(value):
+            raise ConfigError(f"{key!r} must be {rule}, got {value}", (key,))
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise budget of a synthetic run.
@@ -91,8 +106,8 @@ class NoiseSpec:
     shot: float = 0.0
 
     def __post_init__(self):
-        if self.phase_asd < 0.0 or self.shot < 0.0:
-            raise ContractViolation("noise components must be >= 0")
+        _check_ranges(("noise.phase_asd", self.phase_asd, _NONNEGATIVE),
+                      ("noise.shot", self.shot, _NONNEGATIVE))
 
     @property
     def silent(self) -> bool:
@@ -313,9 +328,10 @@ def amplitude_spectrum(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Experiment run configuration, checked against every rule that spans
-    its keys however it is built (parsed, in code, ``dataclasses.replace``).
-    The range of a single key is its ``_CONFIG_TABLE`` cast."""
+    """Experiment run configuration, checked against every rule of its keys,
+    each key's own range and every rule that spans keys, however it is built
+    (parsed, in code, ``dataclasses.replace``).  The noise keys' ranges are
+    ``NoiseSpec``'s."""
 
     mode: str
     l_values: tuple[int, ...]
@@ -343,13 +359,24 @@ class RunConfig:
         require(all(l >= 0 for l in ls), "OAM values must be >= 0", "l")
         # each OAM value's run writes the files named after it
         require(len(set(ls)) == len(ls), f"'l' must hold distinct OAM values, got {ls}", "l")
+        (lo, hi), nyquist = self.band, rate / 2.0
+        _check_ranges(
+            ("power_w", self.power_w, _POSITIVE),
+            ("delta_phi_rad", self.delta_phi_rad, _FINITE),
+            ("signal_freq_hz", self.signal_freq_hz, _NONNEGATIVE),
+            ("signal_amp_rad", self.signal_amp_rad, _FINITE),
+            ("sample_rate", rate, _POSITIVE),
+            ("duration_s", self.duration_s, _FINITE),
+            ("band_lo_hz", lo, _NONNEGATIVE),
+            ("band_hi_hz", hi, _FINITE),
+        )
+        require(self.seed is None or self.seed >= 0, f"'seed' must be >= 0, got {self.seed}",
+                "seed")
         require(self.noise.silent or self.seed is not None,
                 "a seed is required when noise is enabled", "noise.phase_asd", "noise.shot",
                 "seed")
-        require(rate > 0.0, f"sample_rate must be > 0, got {rate}", "sample_rate")
         require(round(rate * self.duration_s) >= 1,
                 f"duration_s = {self.duration_s} gives no samples", "duration_s", "sample_rate")
-        (lo, hi), nyquist = self.band, rate / 2.0
         require(lo < hi, f"'band_lo_hz' ({lo}) must be below 'band_hi_hz' ({hi})",
                 "band_lo_hz", "band_hi_hz")
         # both modes synthesize a record; only a spectrum run takes a band
@@ -409,32 +436,28 @@ def _ranged(cast, in_range, rule: str):
     return checked
 
 
-_nonnegative_float = _ranged(finite_float, lambda v: v >= 0.0, ">= 0")
-_positive_float = _ranged(finite_float, lambda v: v > 0.0, "> 0")
-_nonnegative_int = _ranged(int, lambda v: v >= 0, ">= 0")
-
-
 def _oam_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(","))
 
 
 _REQUIRED = object()
 
-# Every run-config key: its cast and its default (_REQUIRED: no default).
+# Every run-config key: its cast from text and its default (_REQUIRED: no
+# default).  Ranges are RunConfig's and NoiseSpec's rules.
 _CONFIG_TABLE = {
     "mode": (str, _REQUIRED),
     "l": (_oam_list, _REQUIRED),
-    "power_w": (_positive_float, _REQUIRED),
-    "delta_phi_rad": (finite_float, 0.0),
-    "signal_freq_hz": (_nonnegative_float, _REQUIRED),
-    "signal_amp_rad": (finite_float, _REQUIRED),
-    "sample_rate": (_positive_float, _REQUIRED),
-    "duration_s": (finite_float, _REQUIRED),
-    "band_lo_hz": (_nonnegative_float, DEFAULT_BAND[0]),
-    "band_hi_hz": (finite_float, DEFAULT_BAND[1]),
-    "noise.phase_asd": (_nonnegative_float, 0.0),
-    "noise.shot": (_nonnegative_float, 0.0),
-    "seed": (_nonnegative_int, None),
+    "power_w": (float, _REQUIRED),
+    "delta_phi_rad": (float, 0.0),
+    "signal_freq_hz": (float, _REQUIRED),
+    "signal_amp_rad": (float, _REQUIRED),
+    "sample_rate": (float, _REQUIRED),
+    "duration_s": (float, _REQUIRED),
+    "band_lo_hz": (float, DEFAULT_BAND[0]),
+    "band_hi_hz": (float, DEFAULT_BAND[1]),
+    "noise.phase_asd": (float, 0.0),
+    "noise.shot": (float, 0.0),
+    "seed": (int, None),
 }
 
 
@@ -458,10 +481,9 @@ def _lines(values, *keys) -> str:
 def parse_run_config(path) -> RunConfig:
     """Parse a flat ``key = value`` run configuration file.
 
-    The keys, their casts and defaults are ``_CONFIG_TABLE``; floats must be
-    finite, and each cast also checks its key's range.  Unknown keys,
-    out-of-range values and broken ``RunConfig`` rules are errors, reported
-    with the file's lines of the keys concerned.
+    The keys, their casts and defaults are ``_CONFIG_TABLE``.  Unknown keys,
+    unreadable values and broken ``RunConfig`` rules (a key's range among
+    them) are errors, reported with the file's lines of the keys concerned.
     """
     values = _parse_kv_lines(path)
     for key, (_, lineno) in values.items():
@@ -485,8 +507,8 @@ def calibrated_noise() -> NoiseSpec:
     ref = resources.files("iqpe.data").joinpath("noise_calibration_v1.cfg")
     with resources.as_file(ref) as path:
         values = _parse_kv_lines(path)
-        phase_asd = _take(values, path, "noise.phase_asd", _nonnegative_float)
-        shot = _take(values, path, "noise.shot", _nonnegative_float)
+        phase_asd = _take(values, path, "noise.phase_asd", float)
+        shot = _take(values, path, "noise.shot", float)
     return NoiseSpec(phase_asd=phase_asd, shot=shot)
 
 

@@ -295,39 +295,87 @@ def hlg_state(ladder: ModalLadder, l: int, pt: SpherePoint) -> PureState:
     return apply_unitary(expm_herm_generator(ladder.j3, pt.phi), tilted)
 
 
+def _parity_eigenpairs(size: int, off: np.ndarray, last: float):
+    """Eigenpairs of one parity block of j1: real, symmetric, tridiagonal,
+    with off-diagonal ``off`` and a diagonal that is zero but for ``last`` at
+    its end.  Returns the eigenvalues, the column eigenvectors Y, the worst
+    eigenpair residual and ||Y^T Y - I||_F."""
+    block = np.zeros((size, size))
+    block.flat[1 :: size + 1] = block.flat[size :: size + 1] = off
+    block.flat[-1:] = last
+    lam, y = np.linalg.eigh(block)
+    del block
+    residual = y * lam  # y lam - block y, from the block's three diagonals
+    residual[:-1] -= off[:, None] * y[1:]
+    residual[1:] -= off[:, None] * y[:-1]
+    residual[-1:] -= last * y[-1:]
+    worst = float(np.max(np.abs(residual), initial=0.0))
+    del residual
+    gram = y.T @ y
+    gram.flat[:: size + 1] -= 1.0
+    return lam, y, worst, float(np.linalg.norm(gram))
+
+
 def _tilted_modes(ladder: ModalLadder, l: int, thetas: np.ndarray) -> np.ndarray:
     """exp(-1j*j2*theta)|N, l> for every theta, one row each.
 
     j1 is real, symmetric and tridiagonal, and j2 = D j1 D^dag with
-    D = diag(i^k), so one float64 eigendecomposition j1 = V diag(lam) V^T
+    D = diag(i^k), so j1's real eigendecomposition j1 = V diag(lam) V^T
     serves: the tilted mode is D V (e^{-i lam theta} o V^T D^dag |N, l>).
-    D scales the columns of the (len(thetas), N+1) block, not V.  The
-    eigenpair residual and ||V^T V - I||_F are held to SPECTRAL_TOL and
-    UNITARY_TOL, as ``herm_eig`` holds them.
+    j1's off-diagonal is a palindrome, so j1 commutes with the exchange
+    k <-> N-k, and V is block diagonal in the basis of pair vectors
+    (e_k +- e_(N-k))/sqrt(2), k < (N+1)//2, plus the middle e_(N/2) of an
+    even N (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).  So
+    two float64 eigh of half size, one per parity, give V, and no
+    (N+1)^2 array is formed.  Each block's eigenpair residual and
+    ||Y^T Y - I||_F are held to SPECTRAL_TOL and UNITARY_TOL, as
+    ``herm_eig`` holds them; the Frobenius norms add in quadrature to V's.
     """
     n, start = ladder.dim, ladder.index_of(l)
     half = 0.5 * ladder.raising_elements()
-    j1 = np.zeros((n, n))
-    j1.flat[1 :: n + 1] = j1.flat[n :: n + 1] = half
-    lam, v = np.linalg.eigh(j1)
-    del j1  # at most three (N+1)^2 arrays are held at once
-    residual = v * lam  # v lam - j1 v, from j1's two off-diagonals
-    residual[:-1] -= half[:, None] * v[1:]
-    residual[1:] -= half[:, None] * v[:-1]
-    worst = float(np.max(np.abs(residual), initial=0.0))
-    del residual
-    gram = v.T @ v
-    gram.flat[:: n + 1] -= 1.0
-    drift = float(np.linalg.norm(gram))
+    pairs = n // 2  # row k < pairs mirrors row N - k; an odd n has a middle row
+    if n % 2:
+        # the middle row meets the pair (mid - 1, mid + 1) through both of its
+        # off-diagonals, sqrt(2) h in the symmetric block
+        link = half[:pairs].copy()
+        link[-1:] *= math.sqrt(2.0)
+        blocks = ((pairs + 1, link, 0.0), (pairs, half[: pairs - 1], 0.0))
+    else:
+        # the two middle rows meet each other: +h or -h on the pair's diagonal
+        mid = float(half[pairs - 1])
+        blocks = ((pairs, half[: pairs - 1], mid), (pairs, half[: pairs - 1], -mid))
+    (lam_s, y_s, worst_s, drift_s), (lam_a, y_a, worst_a, drift_a) = (
+        _parity_eigenpairs(*block) for block in blocks
+    )
+    worst, drift = max(worst_s, worst_a), math.hypot(drift_s, drift_a)
     if not (worst <= SPECTRAL_TOL and drift <= UNITARY_TOL):
         raise ContractViolation(
-            f"eigenpairs of j1: residual {worst:.3e}, ||V^T V - I||_F = {drift:.3e}"
+            f"eigenpairs of j1's parity blocks: residual {worst:.3e}, "
+            f"||V^T V - I||_F = {drift:.3e}"
         )
-    # D^dag |N, l> = (-i)^start |start>; V stays real (no complex copy of it),
-    # and 1j ** k is exact for k in 0..3
-    phased = np.exp(-1j * np.outer(thetas, lam)) * v[start]
-    tilted = phased.real @ v.T + 1j * (phased.imag @ v.T)
-    return tilted * 1j ** ((np.arange(n) - start) % 4)
+
+    def evolve(lam, y, weights):
+        # V stays real (no complex copy of it)
+        phased = np.exp(-1j * np.outer(thetas, lam)) * weights
+        return phased.real @ y.T + 1j * (phased.imag @ y.T)
+
+    # D^dag |N, l> = (-i)^start |start>, and |start> is a pair vector sum or
+    # difference over sqrt(2), or the middle vector; the sqrt(2)s go in ``scale``
+    row = min(start, n - 1 - start)
+    sym = evolve(lam_s, y_s, y_s[row])
+    anti = 0.0  # the middle vector has no antisymmetric part
+    if row < pairs:
+        anti = evolve(lam_a, y_a, y_a[row] if start == row else -y_a[row])
+    tilted = np.empty((thetas.size, n), dtype=np.complex128)
+    tilted[:, : sym.shape[1]] = sym
+    tilted[:, :pairs] += anti
+    tilted[:, n - pairs :] = (sym[:, :pairs] - anti)[:, ::-1]
+    # a pair column and a pair start row each carry 1/sqrt(2)
+    paired, middle = (0.5, math.sqrt(0.5)) if row < pairs else (math.sqrt(0.5), 1.0)
+    scale = np.full(n, paired)
+    scale[pairs : n - pairs] = middle
+    # 1j ** k is exact for k in 0..3
+    return tilted * (scale * 1j ** ((np.arange(n) - start) % 4))
 
 
 def _rotation_engine(ladder: ModalLadder, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from iqpe import protocol, scenarios
+from iqpe import cli, protocol, scenarios
 from iqpe.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -377,6 +378,35 @@ def test_kerr_loads_no_scipy(tmp_path):
     argv = ["kerr", "--nbar", "99.27", "--out", str(tmp_path / "kerr")]
     code = f"import iqpe.cli; assert iqpe.cli.main({argv!r}) == 0"
     assert scipy_modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi-map", "--scenario", "rotation", "--order-n", "294", "--resolution", "2"],
+        ["kerr", "--nbar", "200"],
+        ["experiment", "--config", str(REPO / FIT_CONFIG)],
+    ],
+    ids=["qfi-map", "kerr", "experiment-noiseless"],
+)
+def test_command_without_random_draws_loads_no_openssl(tmp_path, argv):
+    # artifact checksums use CPython's own SHA-256; hashlib would load
+    # OpenSSL's _hashlib, a few MB of peak RSS, into every run
+    argv = argv + ["--out", str(tmp_path / "out")]
+    code = (
+        f"import sys, iqpe.cli; assert iqpe.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))"
+    )
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 2**20 + 3])
+def test_checksum_is_sha256(size):
+    # lengths around SHA-256's 64-byte block and its 8-byte length field
+    data = random.Random(size).randbytes(size)
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_console_script_runs(tmp_path):

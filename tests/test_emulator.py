@@ -307,6 +307,36 @@ def test_replaced_config_past_fold_is_refused(changes):
         run_spectrum_pipeline(dataclasses.replace(cfg, **changes))
 
 
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        # unchecked, a fit runs to alpha_hat = nan
+        ({"signal_amp_rad": math.nan}, "signal_amp_rad"),
+        # unchecked, round() raises a bare ValueError
+        ({"duration_s": math.nan}, "duration_s"),
+        ({"seed": -1}, "seed"),
+        ({"band": (-5.0, 28e3)}, "band_lo_hz"),
+        # unchecked, synthesis raises a ContractViolation
+        ({"power_w": -1e-3}, "power_w"),
+    ],
+    ids=["amp-nan", "duration-nan", "seed-negative", "band-lo-negative", "power-negative"],
+)
+def test_replaced_config_outside_a_key_range_is_refused(changes, key):
+    cfg = parse_run_config(FIT_CONFIG)
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(cfg, **changes)
+    assert info.value.keys == (key,)
+    assert str(info.value).startswith(f"{key!r} must be ")
+
+
+@pytest.mark.parametrize("key", ["phase_asd", "shot"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_noise_outside_its_range_is_refused(key, value):
+    with pytest.raises(ConfigError) as info:
+        NoiseSpec(**{key: value})
+    assert info.value.keys == (f"noise.{key}",)
+
+
 # ---------------------------------------------------------------------------
 # run configuration and pipelines
 # ---------------------------------------------------------------------------
@@ -387,10 +417,11 @@ def _near(bound):
 
 @st.composite
 def run_config_fields(draw):
-    """RunConfig fields inside every key's cast range.  Every rule holds but
-    one, drawn at or just past its edge."""
+    """RunConfig fields.  Every rule holds but one, drawn at or just past its
+    edge, or for a key's own range a value outside it."""
     at_edge = draw(st.sampled_from(
-        ["mode", "l", "seed", "duration_s", "band", "signal_freq_hz", "band_hi_hz", "fold"]
+        ["mode", "l", "seed", "duration_s", "band", "signal_freq_hz", "band_hi_hz", "fold",
+         "power_w", "signal_amp_rad"]
     ))
 
     def pick(rule, holds, edge):
@@ -407,19 +438,21 @@ def run_config_fields(draw):
     hi = pick("band_hi_hz", st.floats(1.0, nyquist), _near(nyquist))
     offset = draw(st.floats(-0.5, 0.5))
     edge = (math.pi / 2.0 - abs(offset)) / (2.0 * max(l_values[0], 1))
+    amp = pick("fold", st.floats(0.0, edge / 2.0), _near(edge)) * draw(st.sampled_from([1.0, -1.0]))
     return dict(
         mode=mode,
         l_values=tuple(l_values),
-        power_w=draw(st.floats(1e-6, 1.0)),
+        power_w=pick("power_w", st.floats(1e-6, 1.0),
+                     st.sampled_from([0.0, -1e-3, math.nan, math.inf])),
         delta_phi_rad=offset,
         signal_freq_hz=pick("signal_freq_hz", st.sampled_from([0.0, 20.0]), _near(nyquist)),
-        signal_amp_rad=pick("fold", st.floats(0.0, edge / 2.0), _near(edge))
-        * draw(st.sampled_from([1.0, -1.0])),
+        signal_amp_rad=pick("signal_amp_rad", st.just(amp),
+                            st.sampled_from([math.nan, math.inf, -math.inf])),
         sample_rate=rate,
         duration_s=pick("duration_s", st.floats(1.0 / rate, 0.2),
                         st.one_of(_near(0.5 / rate), st.floats(-1.0, 0.0))),
         noise=NoiseSpec(draw(st.sampled_from([0.0, 1e-6])), draw(st.sampled_from([0.0, 1.0]))),
-        seed=pick("seed", st.integers(0, 2**63), st.none()),
+        seed=pick("seed", st.integers(0, 2**63), st.one_of(st.none(), st.integers(-2**63, -1))),
         band=(pick("band", st.floats(0.0, hi / 2.0), _near(hi)), hi),
     )
 

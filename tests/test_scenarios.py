@@ -194,14 +194,16 @@ def test_hlg_equator_zero_oam():
     assert expectation(ladder.lz, state) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 7, 40, 151, 300])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 40, 151, 299, 300])
 def test_tilted_modes_match_hlg_state(order):
     # the map tilts through j2 = D j1 D^dag with D = diag(i^k); every QFI sees
     # theta only through sin^2(theta), so only the amplitudes tell a tilt by
-    # +j2 from one by -j2
+    # +j2 from one by -j2.  j1's two parity blocks differ in shape with the
+    # parity of N+1, and the start rows l = N, -N mirror each other while
+    # l = N mod 2 is the middle row or next to it
     ladder = modal_ladder(order)
     thetas = np.array([0.0, 0.3, 1.2, math.pi / 2.0, 2.0, 3.0])
-    for l in sorted({order, order - 2 * (order // 2)}):
+    for l in sorted({order, order % 2, -order}):
         tilted = scenarios._tilted_modes(ladder, l, thetas)
         for row, theta in zip(tilted, thetas):
             expected = hlg_state(ladder, l, SpherePoint(theta, 0.0)).amplitudes
@@ -308,7 +310,8 @@ def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
 
 
 def test_rotation_map_holds_no_dense_complex_ladder():
-    # the top-order map allocates at most four real (N+1)^2 matrices at once
+    # the top-order map diagonalizes j1 as two half-size parity blocks, so it
+    # allocates at most two real (N+1)^2 matrices at once
     tracemalloc.start()
     try:
         rotation_qfi_map(scenarios.MAX_LADDER_ORDER, 2)
@@ -316,7 +319,29 @@ def test_rotation_map_holds_no_dense_complex_ladder():
     finally:
         tracemalloc.stop()
     dim = scenarios.MAX_LADDER_ORDER + 1
-    assert peak <= 4 * dim * dim * 8
+    assert peak <= 2 * dim * dim * 8
+
+
+@pytest.mark.parametrize("order", [7, 8])
+@pytest.mark.parametrize("parity", [0, 1], ids=["symmetric", "antisymmetric"])
+def test_tilt_refuses_inexact_eigenpairs_of_either_block(monkeypatch, order, parity):
+    # j1 is diagonalized as two half-size blocks, and a perturbed eigenvector
+    # in either one trips the residual check
+    real = np.linalg.eigh
+    sizes = []
+
+    def perturbed(block):
+        lam, y = real(block)
+        if len(sizes) == parity:
+            y[0, -1] += 1e-6
+        sizes.append(block.shape[0])
+        return lam, y
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ContractViolation, match="residual") as info:
+        scenarios._tilted_modes(modal_ladder(order), order, np.array([0.0, 1.0]))
+    assert "eigenpairs of j1" in str(info.value)
+    assert sizes == [(order + 2) // 2, (order + 1) // 2]
 
 
 def test_rotation_cross_check_names_worst_point(monkeypatch):
