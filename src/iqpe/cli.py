@@ -32,7 +32,7 @@ import numpy as np
 
 from . import emulator, protocol, scenarios
 from .emulator import ConfigError
-from .statekit import ContractViolation
+from .statekit import FINITE, ContractViolation, Range
 
 # CPython's own SHA-256 (the same digests): hashlib would load OpenSSL's
 # _hashlib, a few MB of every run's peak RSS, to checksum a few KB
@@ -229,15 +229,9 @@ def _cmd_rotation_sim(args) -> None:
     out_dir = _prepare_out(args.out)
     proto = protocol.RotationProtocol(args.l, math.radians(args.delta_phi_deg))
     alpha_true = math.radians(args.alpha_deg)
-    if protocol.outside_fold(args.l, alpha_true, alpha_true, proto.delta_phi) is not None:
-        lo, hi = (
-            math.degrees((edge - proto.delta_phi) / (2.0 * args.l))
-            for edge in (-math.pi / 2.0, math.pi / 2.0)
-        )
-        raise ConfigError(
-            f"--alpha-deg {args.alpha_deg} cannot be identified at l={args.l}, "
-            f"delta_phi={args.delta_phi_deg} deg: it must lie in ({lo:.9g}, {hi:.9g}) deg"
-        )
+    refusal = protocol.angle_refusal(proto, alpha_true, args.nu, args.trials, degrees=True)
+    if refusal is not None:
+        raise ConfigError(f"--alpha-deg {args.alpha_deg} {refusal}")
     mean, stddev = protocol.monte_carlo_precision(
         proto, alpha_true, args.nu, args.trials, args.seed
     )
@@ -339,7 +333,7 @@ def _cmd_fit(args) -> None:
                 if len(parts) != 2:
                     raise ConfigError(f"{args.input}:{lineno}: expected 'l,phi_rad'")
                 try:
-                    measurements.append((int(parts[0]), emulator.finite_float(parts[1])))
+                    measurements.append((int(parts[0]), FINITE.parse(parts[1])))
                 except ValueError as exc:
                     raise ConfigError(f"{args.input}:{lineno}: bad numeric value: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -355,21 +349,16 @@ def _cmd_fit(args) -> None:
     _write_manifest(out_dir, "fit", str(args.input), None, {"n_points": len(measurements)})
 
 
-def _flag(cast):
-    """``cast`` as an argparse type; argparse would drop a ValueError's rule."""
+def _flag(rule: Range, degrees: bool = False):
+    """``rule.parse`` as an argparse type; argparse would drop a ValueError's text."""
 
     def checked(raw: str):
         try:
-            return cast(raw)
+            return rule.parse(raw, degrees)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return checked
-
-
-def _int_in(low: int, high: float = math.inf):
-    rule = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-    return _flag(emulator._ranged(int, lambda v: low <= v <= high, rule))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,40 +367,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("qfi-map", help="QFI maps over a sphere grid")
     p_map.add_argument("--scenario", required=True, choices=["birefringence", "rotation"])
-    p_map.add_argument("--order-n", type=_int_in(0, scenarios.MAX_LADDER_ORDER), default=None,
+    p_map.add_argument("--order-n", type=_flag(scenarios.LADDER_ORDER), default=None,
                        help="mode order (rotation)")
-    p_map.add_argument("--resolution", type=_int_in(2), default=32)
+    p_map.add_argument("--resolution", type=_flag(scenarios.RESOLUTION), default=32)
     p_map.add_argument("--out", required=True)
     p_map.set_defaults(func=_cmd_qfi_map)
 
     p_kerr = sub.add_parser("kerr", help="coherent-probe phase-shift QFI pair")
-    p_kerr.add_argument("--nbar", required=True, type=_flag(emulator._ranged(
-        emulator.finite_float, lambda v: 0.0 <= v <= scenarios.MAX_NBAR,
-        f">= 0 and <= {scenarios.MAX_NBAR:.0f}")))
+    p_kerr.add_argument("--nbar", required=True, type=_flag(scenarios.NBAR))
     p_kerr.add_argument("--out", required=True)
     p_kerr.set_defaults(func=_cmd_kerr)
 
     p_sim = sub.add_parser("rotation-sim", help="Monte-Carlo estimator precision")
-    p_sim.add_argument("--l", type=_int_in(1), required=True, help="OAM value")
-    p_sim.add_argument(
-        "--alpha-deg", type=_flag(emulator.finite_float), required=True,
-        help="true angle, degrees",
-    )
-    # the library's range (-pi, pi], tested on the radians it will see
-    p_sim.add_argument("--delta-phi-deg", default=0.0, type=_flag(emulator._ranged(
-        emulator.finite_float, lambda v: -math.pi < math.radians(v) <= math.pi,
-        "in (-180, 180]")))
-    p_sim.add_argument("--nu", default=10**6, help="photons per trial", type=_flag(
-        emulator._ranged(int, lambda v: protocol.MIN_NU <= v <= protocol.MAX_NU,
-                         f">= {protocol.MIN_NU} and <= {protocol.MAX_NU}")))
-    p_sim.add_argument("--trials", type=_int_in(protocol.MIN_TRIALS), default=10_000)
-    p_sim.add_argument("--seed", type=_int_in(0), required=True)
+    p_sim.add_argument("--l", type=_flag(protocol.OAM_L), required=True, help="OAM value")
+    p_sim.add_argument("--alpha-deg", type=_flag(FINITE, degrees=True), required=True,
+                       help="true angle, degrees")
+    p_sim.add_argument("--delta-phi-deg", type=_flag(protocol.DELTA_PHI, degrees=True),
+                       default=0.0)
+    p_sim.add_argument("--nu", default=10**6, help="photons per trial", type=_flag(protocol.NU))
+    p_sim.add_argument("--trials", type=_flag(protocol.TRIALS), default=10_000)
+    p_sim.add_argument("--seed", type=_flag(protocol.SEED), required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_rotation_sim)
 
     p_exp = sub.add_parser("experiment", help="full detector pipeline from a config file")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--seed", type=_int_in(0), default=None, help="override the config seed")
+    p_exp.add_argument("--seed", type=_flag(protocol.SEED), default=None,
+                       help="override the config seed")
     p_exp.add_argument("--out", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
 

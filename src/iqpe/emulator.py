@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .protocol import outside_fold, trial_rng
-from .statekit import ContractViolation
+from .protocol import FOLD, OAM_L, SEED, trial_rng
+from .statekit import FINITE, ContractViolation, Range
 
 __all__ = [
     "ConfigError",
@@ -44,7 +44,6 @@ __all__ = [
     "amplitude_spectrum",
     "precision_vs_oam",
     "parse_run_config",
-    "finite_float",
     "calibrated_noise",
     "run_fit_pipeline",
     "run_spectrum_pipeline",
@@ -77,19 +76,14 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
-# The range of a single run-config number: its rule's text and its test.
-# Every comparison with NaN is false, so each test refuses NaN as well.
-_FINITE = ("a finite number", lambda v: -math.inf < v < math.inf)
-_NONNEGATIVE = ("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
-_POSITIVE = ("a finite number > 0", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = Range(0.0)
+_POSITIVE = Range(0.0, ends="(]")
 
 
-def _check_ranges(*checks) -> None:
-    """Raise ``ConfigError`` naming the first (key, value, range) whose
-    value lies outside its range."""
-    for key, value, (rule, holds) in checks:
-        if not holds(value):
-            raise ConfigError(f"{key!r} must be {rule}, got {value}", (key,))
+def _check_keys(*checks) -> None:
+    """``ConfigError`` naming the first (key, value, rule) whose rule refuses its value."""
+    for key, value, rule in checks:
+        rule.check(repr(key), value, ConfigError, (key,))
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,8 @@ class NoiseSpec:
     shot: float = 0.0
 
     def __post_init__(self):
-        _check_ranges(("noise.phase_asd", self.phase_asd, _NONNEGATIVE),
-                      ("noise.shot", self.shot, _NONNEGATIVE))
+        _check_keys(("noise.phase_asd", self.phase_asd, _NONNEGATIVE),
+                    ("noise.shot", self.shot, _NONNEGATIVE))
 
     @property
     def silent(self) -> bool:
@@ -185,10 +179,7 @@ def synthesize_record(
     detector volts.  Noise draws use the Philox streams
     (seed, stream_offset + {0, 1, 2}).
     """
-    if signal_freq_hz < 0.0:
-        raise ConfigError(f"signal frequency must be >= 0, got {signal_freq_hz}")
-    if not power_w > 0.0:
-        raise ContractViolation(f"optical power must be > 0, got {power_w}")
+    _check_keys(("signal_freq_hz", signal_freq_hz, _NONNEGATIVE), ("power_w", power_w, _POSITIVE))
     if signal_freq_hz > 0.0 and sample_rate < 2.0 * signal_freq_hz:
         raise ContractViolation(
             f"sample rate {sample_rate} below Nyquist for {signal_freq_hz} Hz"
@@ -354,24 +345,24 @@ class RunConfig:
         require(mode in ("fit", "spectrum"), f"mode must be 'fit' or 'spectrum', got {mode!r}",
                 "mode")
         require(mode != "fit" or len(ls) >= 3, "fit mode needs at least 3 OAM values", "mode", "l")
-        require(mode != "spectrum" or (len(ls) == 1 and ls[0] >= 1),
-                "spectrum mode takes exactly one OAM value >= 1", "mode", "l")
-        require(all(l >= 0 for l in ls), "OAM values must be >= 0", "l")
+        require(mode != "spectrum" or (len(ls) == 1 and OAM_L.holds(ls[0])),
+                f"spectrum mode takes exactly one OAM value, {OAM_L.text()}", "mode", "l")
+        oam = Range(0, integer=True)  # a fit may take l = 0
+        require(all(map(oam.holds, ls)), f"OAM values must be {oam.text()}, got {ls}", "l")
         # each OAM value's run writes the files named after it
         require(len(set(ls)) == len(ls), f"'l' must hold distinct OAM values, got {ls}", "l")
         (lo, hi), nyquist = self.band, rate / 2.0
-        _check_ranges(
+        _check_keys(
             ("power_w", self.power_w, _POSITIVE),
-            ("delta_phi_rad", self.delta_phi_rad, _FINITE),
+            ("delta_phi_rad", self.delta_phi_rad, FINITE),
             ("signal_freq_hz", self.signal_freq_hz, _NONNEGATIVE),
-            ("signal_amp_rad", self.signal_amp_rad, _FINITE),
+            ("signal_amp_rad", self.signal_amp_rad, FINITE),
             ("sample_rate", rate, _POSITIVE),
-            ("duration_s", self.duration_s, _FINITE),
+            ("duration_s", self.duration_s, FINITE),
             ("band_lo_hz", lo, _NONNEGATIVE),
-            ("band_hi_hz", hi, _FINITE),
+            ("band_hi_hz", hi, FINITE),
+            *([] if self.seed is None else [("seed", self.seed, SEED)]),
         )
-        require(self.seed is None or self.seed >= 0, f"'seed' must be >= 0, got {self.seed}",
-                "seed")
         require(self.noise.silent or self.seed is not None,
                 "a seed is required when noise is enabled", "noise.phase_asd", "noise.shot",
                 "seed")
@@ -389,11 +380,12 @@ class RunConfig:
         if mode == "spectrum":
             # a sinusoid's alpha sweeps [-|A|, |A|], a constant one is A
             l, amp, offset = ls[0], self.signal_amp_rad, self.delta_phi_rad
-            alphas = (-abs(amp), abs(amp)) if self.signal_freq_hz > 0.0 else (amp, amp)
-            reach = outside_fold(l, *alphas, offset)
-            require(reach is None, f"the phase 2*l*alpha + delta_phi reaches {reach!r}, not "
-                    f"below pi/2, so 'signal_amp_rad' ({amp}) cannot be identified at 'l' = "
-                    f"{l} and 'delta_phi_rad' = {offset}", "l", "signal_amp_rad", "delta_phi_rad")
+            alphas = (-abs(amp), abs(amp)) if self.signal_freq_hz > 0.0 else (amp,)
+            phases = [2.0 * l * alpha + offset for alpha in alphas]
+            require(all(map(FOLD.holds, phases)), f"the phase 2*l*alpha + delta_phi reaches "
+                    f"{max(map(abs, phases))!r}, not below pi/2, so 'signal_amp_rad' ({amp}) "
+                    f"cannot be identified at 'l' = {l} and 'delta_phi_rad' = {offset}",
+                    "l", "signal_amp_rad", "delta_phi_rad")
 
 
 def _parse_kv_lines(path) -> dict[str, tuple[str, int]]:
@@ -414,26 +406,6 @@ def _parse_kv_lines(path) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = (value, lineno)
     return values
-
-
-def finite_float(raw: str) -> float:
-    """``float(raw)``, raising ValueError for nan and +/-inf as well."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite number")
-    return value
-
-
-def _ranged(cast, in_range, rule: str):
-    """``cast``, raising ValueError as well when ``in_range(value)`` is false."""
-
-    def checked(raw: str):
-        value = cast(raw)
-        if not in_range(value):
-            raise ValueError(f"must be {rule}, got {value}")
-        return value
-
-    return checked
 
 
 def _oam_list(raw: str) -> tuple[int, ...]:

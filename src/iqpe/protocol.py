@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .statekit import ContractViolation
+from .statekit import ContractViolation, Range
 
 __all__ = [
     "RotationProtocol",
@@ -33,23 +33,26 @@ __all__ = [
     "estimate_alpha",
     "monte_carlo_precision",
     "crb_stddev",
-    "outside_fold",
+    "angle_refusal",
 ]
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
-# Fewest trials, and fewest photons per trial, of a Monte Carlo run.
-MIN_TRIALS = 100
-MIN_NU = 1000
-# Most photons per trial: the largest count Generator.binomial takes (int64).
-MAX_NU = 2**63 - 1
+OAM_L = Range(1, integer=True)
+DELTA_PHI = Range(-math.pi, math.pi, "(]")
+# Photons per trial; the most is the largest count Generator.binomial takes.
+NU = Range(1000, 2**63 - 1, integer=True)
+TRIALS = Range(100, integer=True)
+# One Philox key word: a larger seed would draw the streams of a smaller one.
+SEED = Range(0, 2**64 - 1, integer=True)
+# The phases 2*l*alpha + delta_phi whose alpha the arcsin readout identifies.
+FOLD = Range(-math.pi / 2.0, math.pi / 2.0, "()")
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed on (seed, stream): reproducible, order-free."""
-    if seed < 0:
-        raise ContractViolation(f"seed must be >= 0, got {seed}")
-    key = np.array([seed & _UINT64_MASK, stream & _UINT64_MASK], dtype=np.uint64)
+    SEED.check("seed", seed)
+    key = np.array([seed, stream & _UINT64_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -79,12 +82,8 @@ class RotationProtocol:
     delta_phi: float = 0.0
 
     def __post_init__(self):
-        if self.oam_l < 1:
-            raise ContractViolation(f"oam_l must be >= 1, got {self.oam_l}")
-        if not (-math.pi < self.delta_phi <= math.pi):
-            raise ContractViolation(
-                f"delta_phi must lie in (-pi, pi], got {self.delta_phi}"
-            )
+        OAM_L.check("oam_l", self.oam_l)
+        DELTA_PHI.check("delta_phi", self.delta_phi)
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,26 @@ class ShotRecord:
         object.__setattr__(self, "nu_total", self.nu_L + self.nu_R)
 
 
-def outside_fold(l: int, alpha_lo: float, alpha_hi: float, delta_phi: float) -> Optional[float]:
-    """The largest |2*l*alpha + delta_phi| over [alpha_lo, alpha_hi], or None
-    if it is below pi/2: the arcsin readout identifies alpha only inside that
-    fold.  The phase is linear in alpha, so the largest modulus is at an end
-    of the range; a NaN is never inside."""
-    reach = float(np.max(np.abs(2.0 * l * np.array([alpha_lo, alpha_hi]) + delta_phi)))
-    return None if reach < math.pi / 2.0 else reach
+def minority_phases(nu: int, trials: int) -> Range:
+    """The phases at which the chance that some trial draws no minority photon,
+    trials * (1 - p_min)^nu with p_min = (1 - |sin(phase)|)/2, is at most 2^-53.
+    Past them trials read the boundary value, which the CRB says nothing about."""
+    p_min = -math.expm1(-(53.0 * math.log(2.0) + math.log(trials)) / nu)
+    edge = math.asin(1.0 - 2.0 * p_min)
+    return Range(-edge, edge)
+
+
+def angle_refusal(proto: RotationProtocol, alpha: float, nu: int, trials: int,
+                  degrees: bool = False) -> Optional[str]:
+    """Why a Monte Carlo run cannot take ``alpha``, and the angles it can, or
+    None: the first of ``FOLD`` and ``minority_phases`` its phase breaks."""
+    phase = 2.0 * proto.oam_l * alpha + proto.delta_phi
+    for broken, rule in (("cannot be identified", FOLD),
+                         ("risks an empty minority channel", minority_phases(nu, trials))):
+        if not rule.holds(phase):
+            ends = ((end - proto.delta_phi) / (2.0 * proto.oam_l) for end in (rule.lo, rule.hi))
+            return f"{broken}: it must be {Range(*ends, rule.ends).text(degrees)}"
+    return None
 
 
 def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[float, float]:
@@ -153,18 +165,13 @@ def monte_carlo_precision(
     so results do not depend on evaluation order.  The estimate depends on
     the trial's count alone, so it is computed once per distinct count and
     that same float is stored for every trial that drew the count.  An
-    alpha that ``outside_fold`` reports is refused: it reads another angle.
+    alpha that ``angle_refusal`` refuses is refused.
     """
-    if trials < MIN_TRIALS:
-        raise ContractViolation(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    if not MIN_NU <= nu <= MAX_NU:
-        raise ContractViolation(f"nu must be >= {MIN_NU} and <= {MAX_NU}, got {nu}")
-    reach = outside_fold(proto.oam_l, alpha_true, alpha_true, proto.delta_phi)
-    if reach is not None:
-        raise ContractViolation(
-            f"alpha={alpha_true} cannot be identified: |2*l*alpha + delta_phi| = "
-            f"{reach!r} is not below pi/2"
-        )
+    TRIALS.check("trials", trials)
+    NU.check("nu", nu)
+    refusal = angle_refusal(proto, alpha_true, nu, trials)
+    if refusal is not None:
+        raise ContractViolation(f"alpha={alpha_true} {refusal}")
     p_l, _ = projection_probabilities(proto, alpha_true)
     estimates = np.empty(trials)
     by_count: dict[int, float] = {}

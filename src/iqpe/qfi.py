@@ -18,12 +18,11 @@ only through the constant-eigenvalue upper-bound formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statekit import ContractViolation, HermitianOperator, PureState, herm_eig
+from .statekit import FINITE, ContractViolation, HermitianOperator, PureState, herm_eig
 
 __all__ = [
     "ParameterizedDynamics",
@@ -50,10 +49,7 @@ class ParameterizedDynamics:
     evolution_time: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.evolution_time):
-            raise ContractViolation(
-                f"evolution time must be finite, got {self.evolution_time}"
-            )
+        FINITE.check("evolution time", self.evolution_time)
 
     @property
     def dim(self) -> int:

@@ -29,6 +29,7 @@ from .statekit import (
     ContractViolation,
     HermitianOperator,
     PureState,
+    Range,
     apply_unitary,
     expm_herm_generator,
 )
@@ -53,10 +54,15 @@ __all__ = [
 ]
 
 MAX_LADDER_ORDER = 300
+LADDER_ORDER = Range(0, MAX_LADDER_ORDER, integer=True)
 
 # Largest mean photon number of a coherent probe: its Fock space then holds
 # about a million levels.
 MAX_NBAR = 1e6
+NBAR = Range(0.0, MAX_NBAR)
+
+# Points per sphere-map grid axis (theta; phi has twice as many).
+RESOLUTION = Range(2, integer=True)
 
 # lg_field rejects grids whose boundary intensity exceeds this fraction of
 # the peak (aliasing guard for the rotation resampling check).
@@ -75,8 +81,7 @@ class SpherePoint:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise ContractViolation(f"theta must lie in [0, pi], got {self.theta}")
+        Range(0.0, math.pi).check("theta", self.theta)
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
@@ -92,11 +97,7 @@ class ModalLadder:
     order_N: int
 
     def __post_init__(self):
-        order = self.order_N
-        if not (isinstance(order, (int, np.integer)) and 0 <= order <= MAX_LADDER_ORDER):
-            raise ContractViolation(
-                f"order must be an integer in [0, {MAX_LADDER_ORDER}], got {order!r}"
-            )
+        LADDER_ORDER.check("order", self.order_N)
 
     def raising_elements(self) -> np.ndarray:
         """<m+1|J+|m> = sqrt(j(j+1) - m(m+1)) for m = j-1, ..., -j.
@@ -200,8 +201,7 @@ def polarization_state(pt: SpherePoint) -> PureState:
 def _grid_axes(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid's ``resolution`` thetas over [0, pi] (inclusive) and its
     ``2*resolution`` phis over [0, 2*pi)."""
-    if resolution < 2:
-        raise ContractViolation(f"resolution must be >= 2, got {resolution}")
+    RESOLUTION.check("resolution", resolution)
     thetas = np.linspace(0.0, math.pi, resolution)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
     return thetas, phis
@@ -422,6 +422,7 @@ def kerr_truncation(nbar: float) -> int:
     T^2 stands for n^2 at the cut, so what the dropped levels take from
     Var n and <n^2> stays at the rounding level of the untruncated QFIs.
     """
+    NBAR.check("mean photon number", nbar)
     if nbar == 0.0:
         return 1
     limit = math.log(nbar) - 53.0 * math.log(2.0)
@@ -437,10 +438,6 @@ def coherent_state(nbar: float) -> PureState:
     The amplitude phase is irrelevant for number statistics, so the
     amplitudes are taken real and positive.
     """
-    if not 0.0 <= nbar <= MAX_NBAR:
-        raise ContractViolation(f"mean photon number must lie in [0, {MAX_NBAR:g}], got {nbar}")
-    if nbar == 0.0:
-        return PureState(np.ones(1))
     size = kerr_truncation(nbar)
     # log-domain Poisson weights relative to the mode m = floor(nbar):
     # log(p_k / p_m) sums log(nbar / j) over the levels j between them, so
@@ -474,12 +471,9 @@ def lg_field(p: int, l: int, grid_n: int, extent: float) -> LgFieldSample:
     """
     from scipy.special import eval_genlaguerre, gammaln  # imported here: slow to import
 
-    if grid_n < 64:
-        raise ContractViolation(f"grid_n must be >= 64, got {grid_n}")
-    if p < 0:
-        raise ContractViolation(f"radial index must be >= 0, got {p}")
-    if extent < 4.0:
-        raise ContractViolation(f"extent must be >= 4 waists, got {extent}")
+    Range(64, integer=True).check("grid_n", grid_n)
+    Range(0, integer=True).check("radial index", p)
+    Range(4.0).check("extent (waists)", extent)
     axis = np.linspace(-extent, extent, grid_n)
     x, y = np.meshgrid(axis, axis)
     r_sq = x * x + y * y

@@ -7,6 +7,7 @@ functions, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .tolerances import EXPECTATION_IMAG_TOL, SPECTRAL_TOL, STRUCTURAL_TOL, UNIT
 
 __all__ = [
     "ContractViolation",
+    "Range",
+    "FINITE",
     "PureState",
     "HermitianOperator",
     "UnitaryMatrix",
@@ -27,6 +30,52 @@ __all__ = [
 
 class ContractViolation(ValueError):
     """A numerical contract (normalization, hermiticity, unitarity, shape) failed."""
+
+
+@dataclass(frozen=True)
+class Range:
+    """The integers, or the finite numbers, from ``lo`` to ``hi``, each end in
+    or out as ``ends`` says ("[]", "(]", ...).  Test and text come from the
+    same ends, so a library call, a run-config key and a flag refuse alike."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[]"
+    integer: bool = False
+
+    def holds(self, value) -> bool:
+        if self.integer and not isinstance(value, (int, np.integer)):
+            return False
+        # every comparison with NaN is false, so NaN never holds
+        above = self.lo <= value if self.ends[0] == "[" else self.lo < value
+        below = value <= self.hi if self.ends[1] == "]" else value < self.hi
+        return bool(above and below and -math.inf < value < math.inf)
+
+    def text(self, degrees: bool = False) -> str:
+        """The rule in words; ``degrees`` states a range of radians in degrees."""
+        lo, hi = (math.degrees(end) if degrees else end for end in (self.lo, self.hi))
+        lo, hi = (str(end) if isinstance(end, int) else f"{end:.9g}" for end in (lo, hi))
+        kind = "an integer" if self.integer else "a finite number"
+        unit = " deg" if degrees else ""
+        if math.isfinite(self.hi):
+            return f"{kind} in {self.ends[0]}{lo}, {hi}{self.ends[1]}{unit}"
+        if math.isfinite(self.lo):
+            return f"{kind} {'>=' if self.ends[0] == '[' else '>'} {lo}{unit}"
+        return kind
+
+    def check(self, name: str, value, error=ContractViolation, *args, degrees: bool = False):
+        """``value``, or ``error(message, *args)`` saying why ``name`` refuses it
+        if it does; a ``degrees`` value is tested in radians."""
+        if not self.holds(math.radians(value) if degrees else value):
+            raise error(f"{name} must be {self.text(degrees)}, got {value}".lstrip(), *args)
+        return value
+
+    def parse(self, raw: str, degrees: bool = False):
+        """``raw`` read as an integer or a number; ValueError if it is refused."""
+        return self.check("", (int if self.integer else float)(raw), ValueError, degrees=degrees)
+
+
+FINITE = Range()
 
 
 def _frozen_complex_array(values, ndim: int) -> np.ndarray:
@@ -47,8 +96,7 @@ class PureState:
 
     def __post_init__(self):
         arr = _frozen_complex_array(self.amplitudes, ndim=1)
-        if arr.size < 1:
-            raise ContractViolation("state dimension must be >= 1")
+        Range(1, integer=True).check("state dimension", arr.size)
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > STRUCTURAL_TOL:
             raise ContractViolation(

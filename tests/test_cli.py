@@ -1,6 +1,9 @@
 """CLI surface: artifacts, schemas, determinism, exit codes."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,11 +12,15 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iqpe import cli, protocol, scenarios
+from iqpe import cli, emulator, protocol, scenarios
 from iqpe.cli import build_parser, main
+from iqpe.statekit import FINITE, ContractViolation
 
 REPO = Path(__file__).resolve().parent.parent
 FIT_CONFIG = "configs/static_fit_six_l.cfg"
@@ -180,6 +187,26 @@ def test_rotation_sim_refuses_unidentifiable_angle(tmp_path, capsys, alpha_deg):
     assert "--alpha-deg" in err
     assert "(-0.9, 0.9) deg" in err
     assert not (out / "rotation_sim.json").exists()
+
+
+@pytest.mark.parametrize("alpha_deg, code", [("44.9", 1), ("33", 1), ("32.9", 0)])
+def test_rotation_sim_refuses_angle_with_an_empty_minority_channel(tmp_path, capsys, alpha_deg,
+                                                                   code):
+    # inside the fold, but at 44.9 deg the minority channel holds about 0.6
+    # expected photons: most trials read the boundary and the run claimed a
+    # spread 0.109 times the CRB.  trials*(1 - p_min)^nu <= 2^-53 allows
+    # |alpha| <= 32.98 deg here
+    out = tmp_path / "sim"
+    argv = ["rotation-sim", "--l", "1", "--nu", "1000", "--trials", "2000", "--seed", "3",
+            "--alpha-deg", alpha_deg, "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"error: --alpha-deg {float(alpha_deg)} risks an empty minority")
+        assert "[-32.980029, 32.980029] deg" in err and err.count("\n") == 1
+        assert not (out / "rotation_sim.json").exists()
+    else:
+        assert 0.8 <= read_json(out / "rotation_sim.json")["ratio"] <= 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -495,37 +522,45 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert flag in err
-    assert "is not a finite number" in err
+    assert "must be a finite number" in err
 
 
 @pytest.mark.parametrize(
     "argv, flag, rule",
     [
-        (["experiment", "--config", SPECTRUM_CONFIG, "--seed", "-1"], "--seed", ">= 0"),
-        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "-3"], "--seed", ">= 0"),
+        (["experiment", "--config", SPECTRUM_CONFIG, "--seed", "-1"], "--seed",
+         "an integer in [0, 18446744073709551615]"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "-3"], "--seed",
+         "an integer in [0, 18446744073709551615]"),
         (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], "--l", ">= 1"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--trials", "5"],
          "--trials", ">= 100"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu", "999"],
-         "--nu", ">= 1000"),
+         "--nu", "an integer in [1000, 9223372036854775807]"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu",
-          "100000000000000000000"], "--nu", "<= 9223372036854775807"),
+          "100000000000000000000"], "--nu", "an integer in [1000, 9223372036854775807]"),
         (["qfi-map", "--scenario", "rotation", "--order-n", "301"], "--order-n", "[0, 300]"),
         (["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "1"],
          "--resolution", ">= 2"),
-        (["kerr", "--nbar", "-1"], "--nbar", ">= 0"),
-        (["kerr", "--nbar", "-1e-3"], "--nbar", ">= 0"),
-        (["kerr", "--nbar", "1000001"], "--nbar", "<= 1000000"),
+        (["kerr", "--nbar", "-1"], "--nbar", "a finite number in [0, 1000000]"),
+        (["kerr", "--nbar", "-1e-3"], "--nbar", "a finite number in [0, 1000000]"),
+        (["kerr", "--nbar", "1000001"], "--nbar", "a finite number in [0, 1000000]"),
         (["qfi-map", "--scenario", "birefringence", "--order-n", "3"], "--order-n",
          "only to the rotation scenario"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "200",
           "--seed", "1"], "--delta-phi-deg", "in (-180, 180]"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--delta-phi-deg", "-180",
           "--seed", "1"], "--delta-phi-deg", "in (-180, 180]"),
+        # Philox takes a 64-bit seed word: 2^64 would draw the streams of seed 0
+        (["experiment", "--config", SPECTRUM_CONFIG, "--seed", str(2**64)], "--seed",
+         "an integer in [0, 18446744073709551615]"),
+        (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", str(2**64)], "--seed",
+         "an integer in [0, 18446744073709551615]"),
     ],
     ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "sim-nu-cap", "map-order",
          "map-resolution", "kerr-nbar", "kerr-nbar-exponent", "kerr-nbar-cap",
-         "birefringence-order", "sim-delta-phi", "sim-delta-phi-edge"],
+         "birefringence-order", "sim-delta-phi", "sim-delta-phi-edge", "experiment-seed-cap",
+         "sim-seed-cap"],
 )
 def test_out_of_range_flag_is_config_error(tmp_path, capsys, argv, flag, rule):
     out = tmp_path / "x"
@@ -535,7 +570,7 @@ def test_out_of_range_flag_is_config_error(tmp_path, capsys, argv, flag, rule):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("nu", [protocol.MIN_NU, protocol.MAX_NU], ids=["min", "max"])
+@pytest.mark.parametrize("nu", [protocol.NU.lo, protocol.NU.hi], ids=["min", "max"])
 def test_nu_range_ends_run(tmp_path, capsys, nu):
     # both ends of the --nu range README states; one past the top is one
     # error line, not the OverflowError of Generator.binomial
@@ -544,10 +579,96 @@ def test_nu_range_ends_run(tmp_path, capsys, nu):
     assert main(argv + [str(nu), "--out", str(tmp_path / "ok")]) == 0
     assert read_json(tmp_path / "ok" / "rotation_sim.json")["nu"] == nu
     capsys.readouterr()
-    beyond = nu - 1 if nu == protocol.MIN_NU else nu + 1
+    beyond = nu - 1 if nu == protocol.NU.lo else nu + 1
     assert main(argv + [str(beyond), "--out", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: argument --nu:")
+
+
+def _monte_carlo(nu=1000, trials=100):
+    return protocol.monte_carlo_precision(protocol.RotationProtocol(1), 0.0, nu, trials, 0)
+
+
+_SIM = ["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1"]
+
+# Every ranged flag: the argv before it, the flag, the Range of the module
+# that owns its quantity, whether the flag is in degrees, and a library call
+# that takes the quantity (in radians) and refuses by that Range.  The true
+# angle's own rule is finiteness; the fold that every library path also
+# holds it to needs l and delta_phi, so it is checked after parsing.
+RANGED_FLAGS = {
+    "order-n": (["qfi-map", "--scenario", "rotation"], "--order-n", scenarios.LADDER_ORDER,
+                False, scenarios.modal_ladder),
+    "resolution": (["qfi-map", "--scenario", "birefringence"], "--resolution",
+                   scenarios.RESOLUTION, False, scenarios.birefringence_qfi_map),
+    "nbar": (["kerr"], "--nbar", scenarios.NBAR, False, scenarios.kerr_truncation),
+    "l": (_SIM, "--l", protocol.OAM_L, False, protocol.RotationProtocol),
+    "alpha-deg": (_SIM, "--alpha-deg", FINITE, True, lambda alpha: FINITE.check("alpha", alpha)),
+    "delta-phi-deg": (_SIM, "--delta-phi-deg", protocol.DELTA_PHI, True,
+                      lambda offset: protocol.RotationProtocol(1, offset)),
+    "nu": (_SIM, "--nu", protocol.NU, False, lambda nu: _monte_carlo(nu=nu)),
+    "trials": (_SIM, "--trials", protocol.TRIALS, False, lambda trials: _monte_carlo(trials=trials)),
+    "sim-seed": (_SIM, "--seed", protocol.SEED, False, lambda seed: protocol.trial_rng(seed, 0)),
+    "experiment-seed": (["experiment", "--config", FIT_CONFIG], "--seed", protocol.SEED, False,
+                        lambda seed: dataclasses.replace(emulator.parse_run_config(FIT_CONFIG),
+                                                         seed=seed)),
+}
+
+
+def _edges(rule, degrees):
+    """Each finite end of ``rule`` in the flag's unit, with the values one
+    step to either side; NaN, +-inf and 0 as well for a number."""
+    values = []
+    for end in (rule.lo, rule.hi):
+        if rule.integer and math.isfinite(end):
+            values += [end - 1, end, end + 1]
+        elif math.isfinite(end):
+            end = math.degrees(end) if degrees else end
+            values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    return values if rule.integer else values + [math.nan, math.inf, -math.inf, 0.0]
+
+
+_NUMBER = r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?"
+
+
+def _rule_of(message, prefix):
+    """The rule text of a refusal ``prefix`` must be <rule>, got <value>, as
+    its words (numbers replaced by #) and its numbers."""
+    rule = message.split(f"{prefix} must be ", 1)[1].rsplit(", got ", 1)[0]
+    return re.sub(_NUMBER, "#", rule), [float(n) for n in re.findall(_NUMBER, rule)]
+
+
+@pytest.mark.parametrize("case", sorted(RANGED_FLAGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flags_and_library_calls_refuse_alike(case, data):
+    # the flag-side twin of test_parsed_and_built_configs_refuse_alike: a
+    # flag exits 1 exactly when the library refuses the same value, with the
+    # same rule, and a degree flag states the bounds of the radians in degrees
+    before, flag, rule, degrees, call = RANGED_FLAGS[case]
+    value = data.draw(st.sampled_from(_edges(rule, degrees)))
+    try:
+        call(math.radians(value) if degrees else value)
+        library = None
+    except (ContractViolation, emulator.ConfigError) as exc:
+        library = str(exc)
+    err = io.StringIO()
+    commands = {name: lambda args: None for name in dir(cli) if name.startswith("_cmd_")}
+    with contextlib.redirect_stderr(err), mock.patch.multiple(cli, **commands):
+        code = main(before + [flag, repr(value), "--out", "unused"])
+    err = err.getvalue()
+    if library is None:
+        assert (code, err) == (0, "")
+        return
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: argument {flag}: must be ")
+    flag_words, flag_numbers = _rule_of(err, f"argument {flag}:")
+    words, numbers = _rule_of(library, "")
+    if degrees:
+        assert flag_words == words + (" deg" if numbers else "")
+        assert flag_numbers == pytest.approx([math.degrees(n) for n in numbers], rel=1e-8)
+    else:
+        assert (flag_words, flag_numbers) == (words, numbers)
 
 
 @pytest.mark.parametrize(
@@ -644,6 +765,7 @@ def test_experiment_rejects_unusable_number(tmp_path, capsys, key, value):
         ("power_w", "0"),
         ("power_w", "-1e-3"),
         ("seed", "-1"),
+        ("seed", str(2**64)),
         ("signal_freq_hz", "-20e3"),
         ("band_lo_hz", "-1"),
     ],

@@ -78,8 +78,20 @@ def test_synthesis_nyquist_guard():
 
 
 def test_synthesis_rejects_negative_frequency():
-    with pytest.raises(ConfigError, match="frequency"):
+    with pytest.raises(ConfigError, match="signal_freq_hz"):
         synthesize_record(1, 1e-8, -20e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "freq, power, key",
+    [(math.nan, 1e-3, "signal_freq_hz"), (20e3, math.nan, "power_w"), (20e3, math.inf, "power_w")],
+)
+def test_synthesis_refuses_what_the_run_config_keys_refuse(freq, power, key):
+    # the key ranges of RunConfig; unchecked, a NaN frequency synthesized a
+    # record of NaN phases
+    with pytest.raises(ConfigError) as info:
+        synthesize_record(1, 1e-8, freq, 0.0, power, SILENT, 60e3, 0.1, seed=0)
+    assert info.value.keys == (key,)
 
 
 def test_detector_record_length_contract():
@@ -318,8 +330,11 @@ def test_replaced_config_past_fold_is_refused(changes):
         ({"band": (-5.0, 28e3)}, "band_lo_hz"),
         # unchecked, synthesis raises a ContractViolation
         ({"power_w": -1e-3}, "power_w"),
+        # unchecked, the noise streams of seed 0
+        ({"seed": 2**64}, "seed"),
     ],
-    ids=["amp-nan", "duration-nan", "seed-negative", "band-lo-negative", "power-negative"],
+    ids=["amp-nan", "duration-nan", "seed-negative", "band-lo-negative", "power-negative",
+         "seed-past-64-bits"],
 )
 def test_replaced_config_outside_a_key_range_is_refused(changes, key):
     cfg = parse_run_config(FIT_CONFIG)
@@ -327,6 +342,14 @@ def test_replaced_config_outside_a_key_range_is_refused(changes, key):
         dataclasses.replace(cfg, **changes)
     assert info.value.keys == (key,)
     assert str(info.value).startswith(f"{key!r} must be ")
+
+
+@pytest.mark.parametrize("l_values", [(1.5, 4, 7), (-1, 4, 7)], ids=["fraction", "negative"])
+def test_replaced_config_with_an_oam_value_outside_its_range_is_refused(l_values):
+    # unchecked, a code-built fit ran at l = 1.5 and wrote record_l1.5.csv
+    with pytest.raises(ConfigError, match="an integer >= 0") as info:
+        dataclasses.replace(parse_run_config(FIT_CONFIG), l_values=l_values)
+    assert info.value.keys == ("l",)
 
 
 @pytest.mark.parametrize("key", ["phase_asd", "shot"])

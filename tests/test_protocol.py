@@ -259,6 +259,29 @@ def test_monte_carlo_refuses_angle_past_fold(alpha, delta_phi):
     monte_carlo_precision(proto, 0.07 - delta_phi / 20.0, 10**5, 200, seed=6)
 
 
+def test_monte_carlo_refuses_angle_with_an_empty_minority_channel():
+    # phase 1.567 at nu = 1000: the minority channel expects 0.6 photons, most
+    # trials read the boundary, and the spread came out 0.109 of the CRB
+    proto = RotationProtocol(1)
+    with pytest.raises(ContractViolation, match="minority channel"):
+        monte_carlo_precision(proto, math.radians(44.9), 1000, 2000, seed=3)
+    edge = protocol.minority_phases(1000, 2000).hi / 2.0
+    monte_carlo_precision(proto, edge, 1000, 2000, seed=3)
+    with pytest.raises(ContractViolation, match="minority channel"):
+        monte_carlo_precision(proto, math.nextafter(edge, 1.0), 1000, 2000, seed=3)
+
+
+@pytest.mark.parametrize("nu", [10**3, 10**4, 10**6, 10**9])
+@pytest.mark.parametrize("trials", [100, 2000, 10**6])
+def test_minority_phases_edge_meets_its_bound(nu, trials):
+    # at the edge the chance that some trial draws no minority photon,
+    # trials * (1 - p_min)^nu, is 2^-53
+    edge = protocol.minority_phases(nu, trials).hi
+    p_min = (1.0 - math.sin(edge)) / 2.0
+    log_chance = math.log(trials) + nu * math.log1p(-p_min)
+    assert log_chance == pytest.approx(-53.0 * math.log(2.0), rel=1e-6)
+
+
 def test_monte_carlo_reproducible():
     proto = RotationProtocol(5)
     first = monte_carlo_precision(proto, 1e-4, 10**4, 500, seed=21)
@@ -290,6 +313,11 @@ def test_trial_rng_streams():
     assert not np.array_equal(a, c)
     with pytest.raises(ContractViolation):
         trial_rng(-1, 0)
+    # the key holds 64 bits: 2^64 + 1 drew the streams of seed 1
+    with pytest.raises(ContractViolation, match="18446744073709551615"):
+        trial_rng(2**64, 0)
+    assert np.array_equal(trial_rng(2**64 - 1, 0).standard_normal(4),
+                          trial_rng(2**64 - 1, 0).standard_normal(4))
 
 
 @pytest.mark.parametrize("seed", [0, 21, 2**63 + 5])

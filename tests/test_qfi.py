@@ -278,5 +278,5 @@ def test_global_phase_invariance():
 def test_non_finite_evolution_time_is_rejected(evolution_time):
     # every bound check in QfiReport compares false against NaN, so a NaN
     # time would pass through to a report full of NaN
-    with pytest.raises(ContractViolation, match="evolution time must be finite"):
+    with pytest.raises(ContractViolation, match="evolution time must be a finite number"):
         ParameterizedDynamics(modal_ladder(4).lz, evolution_time)

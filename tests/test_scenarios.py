@@ -462,6 +462,14 @@ def test_coherent_state_rejects_nbar_out_of_range(nbar):
         coherent_state(nbar)
 
 
+@pytest.mark.parametrize("nbar", [-1.0, math.nan, 2e6], ids=["negative", "nan", "above-max"])
+def test_kerr_truncation_rejects_nbar_out_of_range(nbar):
+    # unchecked: a math domain error, a NaN-to-integer error, and 2014337
+    # levels for an nbar above MAX_NBAR
+    with pytest.raises(ContractViolation, match="mean photon number"):
+        scenarios.kerr_truncation(nbar)
+
+
 # ---------------------------------------------------------------------------
 # LG fields
 # ---------------------------------------------------------------------------
