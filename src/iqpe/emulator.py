@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -476,6 +475,8 @@ def parse_run_config(path) -> RunConfig:
 
 def calibrated_noise() -> NoiseSpec:
     """The shipped, versioned noise calibration (target: reported l=150 floor)."""
+    from importlib import resources  # imported here: its only user, which no command calls
+
     ref = resources.files("iqpe.data").joinpath("noise_calibration_v1.cfg")
     with resources.as_file(ref) as path:
         values = _parse_kv_lines(path)

@@ -189,6 +189,17 @@ def test_rotation_sim_refuses_unidentifiable_angle(tmp_path, capsys, alpha_deg):
     assert not (out / "rotation_sim.json").exists()
 
 
+def test_rotation_sim_refuses_trials_past_the_top_before_the_minority_rule(capsys):
+    # at 10^300 trials, trials*(1/2)^nu > 2^-53: the minority-channel rule
+    # had no phase left and printed "[0.967949196, -0.967949196] deg"
+    argv = ["rotation-sim", "--l", "1", "--nu", "1000", "--alpha-deg", "0", "--seed", "1",
+            "--trials", "1" + "0" * 300, "--out", "unused"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: argument --trials: ")
+    assert "0.967949196" not in err
+
+
 @pytest.mark.parametrize("alpha_deg, code", [("44.9", 1), ("33", 1), ("32.9", 0)])
 def test_rotation_sim_refuses_angle_with_an_empty_minority_channel(tmp_path, capsys, alpha_deg,
                                                                    code):
@@ -429,6 +440,20 @@ def test_command_without_random_draws_loads_no_openssl(tmp_path, argv):
     assert result.stdout.strip() == "[]"
 
 
+def test_rotation_sim_loads_no_numpy_random(tmp_path):
+    # the Monte Carlo draws through protocol's own Philox and binomial
+    # kernel; numpy.random would load OpenSSL's _hashlib (secrets -> hmac)
+    argv = ["rotation-sim", "--l", "150", "--alpha-deg", "0.0005", "--nu", "1000000",
+            "--trials", "5000", "--seed", "3", "--out", str(tmp_path / "sim")]
+    code = (
+        f"import sys, iqpe.cli; assert iqpe.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m in ('numpy.random', '_hashlib')))"
+    )
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 2**20 + 3])
 def test_checksum_is_sha256(size):
     # lengths around SHA-256's 64-byte block and its 8-byte length field
@@ -534,7 +559,10 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
          "an integer in [0, 18446744073709551615]"),
         (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], "--l", ">= 1"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--trials", "5"],
-         "--trials", ">= 100"),
+         "--trials", "an integer in [100, 10000000]"),
+        # 8 bytes an estimate: 10^12 trials asked numpy for 7.28 TiB
+        (["rotation-sim", "--l", "1", "--alpha-deg", "0", "--seed", "1", "--trials",
+          "1000000000000"], "--trials", "an integer in [100, 10000000]"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu", "999"],
          "--nu", "an integer in [1000, 9223372036854775807]"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--nu",
@@ -557,7 +585,8 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", str(2**64)], "--seed",
          "an integer in [0, 18446744073709551615]"),
     ],
-    ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-nu", "sim-nu-cap", "map-order",
+    ids=["experiment-seed", "sim-seed", "sim-l", "sim-trials", "sim-trials-cap", "sim-nu",
+         "sim-nu-cap", "map-order",
          "map-resolution", "kerr-nbar", "kerr-nbar-exponent", "kerr-nbar-cap",
          "birefringence-order", "sim-delta-phi", "sim-delta-phi-edge", "experiment-seed-cap",
          "sim-seed-cap"],
@@ -607,7 +636,10 @@ RANGED_FLAGS = {
     "delta-phi-deg": (_SIM, "--delta-phi-deg", protocol.DELTA_PHI, True,
                       lambda offset: protocol.RotationProtocol(1, offset)),
     "nu": (_SIM, "--nu", protocol.NU, False, lambda nu: _monte_carlo(nu=nu)),
-    "trials": (_SIM, "--trials", protocol.TRIALS, False, lambda trials: _monte_carlo(trials=trials)),
+    # monte_carlo_precision refuses by TRIALS first (test_protocol checks
+    # both ends), but a run at the top draws 10^7 trials
+    "trials": (_SIM, "--trials", protocol.TRIALS, False,
+               lambda trials: protocol.TRIALS.check("trials", trials)),
     "sim-seed": (_SIM, "--seed", protocol.SEED, False, lambda seed: protocol.trial_rng(seed, 0)),
     "experiment-seed": (["experiment", "--config", FIT_CONFIG], "--seed", protocol.SEED, False,
                         lambda seed: dataclasses.replace(emulator.parse_run_config(FIT_CONFIG),

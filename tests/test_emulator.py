@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,18 @@ def test_fit_recovers_synthesis_truth():
 def test_fit_zero_phase_data():
     fit = fit_oam_series([(1, 0.0), (2, 0.0), (5, 0.0)])
     assert fit.alpha_hat == 0.0 and fit.delta_phi_hat == 0.0
+
+
+def test_emulator_import_loads_no_importlib_resources():
+    # calibrated_noise, its one user, imports it, and no command calls that.
+    # -S keeps site's .pth hooks from importing it into the process first
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), str(Path(np.__file__).parents[1])]
+    code = (f"import sys; sys.path[:0] = {paths!r}; import iqpe.emulator; "
+            "print('importlib.resources' in sys.modules)")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": ""})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_fit_noisy_data_keeps_high_r_square():

@@ -1,9 +1,12 @@
 """Rotation protocol: switched unitary, statistics, estimator, Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqpe import protocol
 from iqpe.protocol import (
@@ -297,10 +300,16 @@ def test_monte_carlo_argument_guards():
         monte_carlo_precision(proto, 0.0, 10**4, 50, seed=1)
     with pytest.raises(ContractViolation):
         monte_carlo_precision(proto, 0.0, 100, 500, seed=1)
+    # 8 bytes an estimate: 10^12 trials asked for 7.28 TiB
+    with pytest.raises(ContractViolation, match=r"trials must be an integer in \[100, 10000000\]"):
+        monte_carlo_precision(proto, 0.0, 10**4, 10**12, seed=1)
+    # the kernel keys Philox with the seed word itself: 2^64 would draw seed 0
+    with pytest.raises(ContractViolation, match="18446744073709551615"):
+        monte_carlo_precision(proto, 0.0, 10**4, 500, seed=2**64)
 
 
 def test_monte_carlo_refuses_nu_above_binomial_range():
-    # Generator.binomial takes an int64 count; one more would overflow there
+    # the binomial kernel counts in int64; one more would overflow there
     with pytest.raises(ContractViolation, match="9223372036854775807"):
         monte_carlo_precision(RotationProtocol(5), 0.0, 2**63, 100, seed=1)
 
@@ -320,17 +329,129 @@ def test_trial_rng_streams():
                           trial_rng(2**64 - 1, 0).standard_normal(4))
 
 
-@pytest.mark.parametrize("seed", [0, 21, 2**63 + 5])
-def test_rekeyed_streams_match_fresh_generators(seed):
-    # monte_carlo_precision re-keys one Philox per trial; every trial must
-    # still draw exactly what a fresh trial_rng(seed, i) draws
-    streams = [0, 1, 2, 7, 2**32 - 1, 2**32, 2**32 + 3, 2**64 - 1]
-    for i, rng in zip(streams, protocol._trial_rngs(seed, streams)):
-        fresh = trial_rng(seed, i)
-        assert rng.binomial(10**6, 0.37) == fresh.binomial(10**6, 0.37)
-        assert rng.poisson(4.2e5) == fresh.poisson(4.2e5)
-        assert rng.binomial(10**5, 0.6) == fresh.binomial(10**5, 0.6)
-        assert rng.poisson(7.5e4) == fresh.poisson(7.5e4)
+# ---------------------------------------------------------------------------
+# binomial kernel
+# ---------------------------------------------------------------------------
+
+
+def numpy_counts(seed, streams, nu, p):
+    """Each stream's count from a fresh numpy Generator: the kernel's contract."""
+    return [int(trial_rng(seed, i).binomial(nu, p)) for i in streams]
+
+
+def kernel_counts(seed, streams, nu, p):
+    return protocol._binomial_counts(seed, np.array(streams, dtype=np.uint64), nu, p).tolist()
+
+
+STREAMS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 2**64 - 1] + [2**32 + k for k in range(-3, 4)]),
+)
+NUS = st.one_of(
+    st.integers(protocol.NU.lo, protocol.NU.hi),
+    st.sampled_from([protocol.NU.lo, 10**6, 2**62, protocol.NU.hi]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), streams=st.lists(STREAMS, min_size=1, max_size=20),
+       nu=NUS, data=st.data())
+def test_kernel_draws_what_numpy_draws(seed, streams, nu, data):
+    # any seed, stream and count, at any phase the minority-channel rule takes
+    edge = protocol.minority_phases(nu, protocol.TRIALS.lo)
+    phase = data.draw(st.floats(edge.lo, edge.hi))
+    p, _ = projection_probabilities(RotationProtocol(1), phase / 2.0)
+    assert kernel_counts(seed, streams, nu, p) == numpy_counts(seed, streams, nu, p)
+
+
+@pytest.mark.parametrize(
+    "nu, p, seed",
+    [
+        (2**63 - 1, 0.5, 0),  # BTPE's -k*k overflows int64
+        (2**62, 0.3, 11),
+        (2**63 - 1, 5e-18, 3),  # and so does its s*(nu + 1)
+        (5 * 10**17, 1 - 2**-53, 6),  # the Stirling arguments round as doubles
+        (5 * 10**17, 2**-54, 5),  # inversion, from a phase just inside the fold
+        (1000, 0.02, 1),  # inversion below the minority-channel rule
+    ],
+)
+def test_kernel_matches_numpy_where_int64_and_rounding_bite(nu, p, seed):
+    streams = range(2000)
+    assert kernel_counts(seed, streams, nu, p) == numpy_counts(seed, streams, nu, p)
+
+
+# Counts numpy 2.4's Generator.binomial draws.  NEP 19 does not freeze
+# Generator streams, so these pin the kernel, and with it every
+# rotation_sim.json, should a numpy release change its sampler.
+GOLDEN_COUNTS = [
+    # seed, stream, nu, p, count
+    (0, 0, 1000, 0.5, 493),
+    (1, 7, 1000, 0.05, 47),
+    (2**64 - 1, 2**64 - 1, 10**6, 0.62, 620007),
+    (21, 2**32, 10**6, 0.5, 500359),
+    (2**63 + 5, 2**32 - 1, 10**9, 0.7, 700009230),
+    (0, 22, 2**63 - 1, 0.5, 4611686013759940608),
+    (5, 89, 2**62, 0.5, 2305843012448607744),
+    (0, 8, 2**63 - 1, 5e-18, 53),
+    (6, 199, 5 * 10**17, 1 - 2**-53, 499999999999999967),
+    (5, 3, 5 * 10**17, 2**-54, 31),
+    (1, 4, 1000, 0.02, 25),
+]
+
+
+@pytest.mark.parametrize("seed, stream, nu, p, count", GOLDEN_COUNTS)
+def test_kernel_golden_counts(seed, stream, nu, p, count):
+    assert kernel_counts(seed, [stream], nu, p) == [count]
+
+
+def test_inversion_restarts_on_the_next_double(monkeypatch):
+    # a try whose count passes the bound starts again from the stream's next
+    # double, as numpy's loop does: a stream shifted by one leading 1 - 2^-53
+    # (which walks past any bound) must end where the unshifted one does
+    streams = np.arange(200, dtype=np.uint64)
+    expected = protocol._inversion_counts(7, streams, 1000, 0.002)
+    unshifted = protocol._philox_doubles
+
+    def shifted(refill, seed, keys):
+        if refill == 1:
+            carried = np.full(keys.size, 1.0 - 2.0**-53)
+        else:
+            carried = unshifted(refill - 1, seed, keys)[3]
+        return [carried] + unshifted(refill, seed, keys)[:3]
+
+    monkeypatch.setattr(protocol, "_philox_doubles", shifted)
+    assert protocol._inversion_counts(7, streams, 1000, 0.002).tolist() == expected.tolist()
+
+
+def test_kernel_log_is_libm():
+    # numpy's C sampler takes libm's log; np.log differs in the last bit on
+    # some inputs (on AVX-512 hosts), and log(0) and log(x < 0) follow C
+    x = np.linspace(0.5, 1.0, 20001)
+    expected = [math.log(v) for v in x.tolist()]
+    assert protocol._log(x).tolist() == expected
+    got = protocol._log(np.array([0.0, -1.0]))
+    assert got[0] == -math.inf and math.isnan(got[1])
+
+
+def test_monte_carlo_memory_grows_with_the_block_not_the_trials():
+    # the kernel's arrays are _BLOCK trials long; only the 8-byte estimates
+    # span every trial (drawing all 25k trials at once peaked at 4.6 MB)
+    trials = 25_000
+    tracemalloc.start()
+    try:
+        monte_carlo_precision(RotationProtocol(150), 1e-5, 10**6, trials, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + 2**19
+
+
+def test_trials_top_leaves_a_minority_interval():
+    # trials * (1/2)^nu must stay under 2^-53 at the top of TRIALS, or the
+    # minority-channel refusal has no phase to offer and prints lo > hi
+    for nu in (protocol.NU.lo, 10**6, protocol.NU.hi):
+        rule = protocol.minority_phases(nu, protocol.TRIALS.hi)
+        assert rule.lo < 0.0 < rule.hi
 
 
 def monte_carlo_oracle(proto, alpha, nu, trials, seed):
