@@ -51,6 +51,9 @@ DEAD_ZONE_THRESHOLD = 1e-9
 # Rows per CSV formatting block: bounds the cell strings held at once.
 _CSV_BLOCK_ROWS = 256
 
+# A fit table's OAM values: of either sign, with 2*l exact as protocol.OAM_L's.
+_TABLE_L = Range(-protocol.OAM_L.hi, protocol.OAM_L.hi, integer=True)
+
 
 class _NegativeNumber:
     """Matches every token that ``float()`` parses and that starts with ``-``."""
@@ -333,7 +336,7 @@ def _cmd_fit(args) -> None:
                 if len(parts) != 2:
                     raise ConfigError(f"{args.input}:{lineno}: expected 'l,phi_rad'")
                 try:
-                    measurements.append((int(parts[0]), FINITE.parse(parts[1])))
+                    measurements.append((_TABLE_L.parse(parts[0]), FINITE.parse(parts[1])))
                 except ValueError as exc:
                     raise ConfigError(f"{args.input}:{lineno}: bad numeric value: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -346,7 +346,7 @@ class RunConfig:
         require(mode != "fit" or len(ls) >= 3, "fit mode needs at least 3 OAM values", "mode", "l")
         require(mode != "spectrum" or (len(ls) == 1 and OAM_L.holds(ls[0])),
                 f"spectrum mode takes exactly one OAM value, {OAM_L.text()}", "mode", "l")
-        oam = Range(0, integer=True)  # a fit may take l = 0
+        oam = Range(0, OAM_L.hi, integer=True)  # a fit may take l = 0
         require(all(map(oam.holds, ls)), f"OAM values must be {oam.text()}, got {ls}", "l")
         # each OAM value's run writes the files named after it
         require(len(set(ls)) == len(ls), f"'l' must hold distinct OAM values, got {ls}", "l")

@@ -42,7 +42,8 @@ __all__ = [
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 
-OAM_L = Range(1, integer=True)
+# 2*l stays exact in float64 up to 2^53.
+OAM_L = Range(1, 2**53, integer=True)
 DELTA_PHI = Range(-math.pi, math.pi, "(]")
 # Photons per trial; the most is the top of the binomial kernel's int64 domain.
 NU = Range(1000, 2**63 - 1, integer=True)
@@ -271,26 +272,49 @@ class ShotRecord:
         object.__setattr__(self, "nu_total", self.nu_L + self.nu_R)
 
 
+def minority_floor(nu: int, trials: int) -> float:
+    """The least p_min, the less likely channel's click probability, that keeps
+    the chance of a trial with no minority photon, trials * (1 - p_min)^nu, at
+    2^-53 or less.  Below it trials read the boundary, which no CRB describes."""
+    return -math.expm1(-(53.0 * math.log(2.0) + math.log(trials)) / nu)
+
+
 def minority_phases(nu: int, trials: int) -> Range:
-    """The phases at which the chance that some trial draws no minority photon,
-    trials * (1 - p_min)^nu with p_min = (1 - |sin(phase)|)/2, is at most 2^-53.
-    Past them trials read the boundary value, which the CRB says nothing about."""
-    p_min = -math.expm1(-(53.0 * math.log(2.0) + math.log(trials)) / nu)
-    edge = math.asin(1.0 - 2.0 * p_min)
-    return Range(-edge, edge)
+    """The phases whose click probabilities, as ``projection_probabilities``
+    rounds them, keep the less likely one at ``minority_floor`` or above.
+    Near the fold they are multiples of 2^-54 or 2^-53 and asin(1 - 2 p_min)
+    rounds to pi/2, so each end is bisected down to adjacent floats."""
+    floor = minority_floor(nu, trials)
+    ends = []
+    for sign in (-1.0, 1.0):
+        inside, outside = 0.0, math.pi / 2.0  # the less likely p is 1/2 at 0, 0 at pi/2
+        while inside < (middle := 0.5 * (inside + outside)) < outside:
+            holds = min(_click_probabilities(sign * middle)) >= floor
+            inside, outside = (middle, outside) if holds else (inside, middle)
+        ends.append(sign * inside)
+    return Range(*ends)
 
 
 def angle_refusal(proto: RotationProtocol, alpha: float, nu: int, trials: int,
                   degrees: bool = False) -> Optional[str]:
     """Why a Monte Carlo run cannot take ``alpha``, and the angles it can, or
-    None: the first of ``FOLD`` and ``minority_phases`` its phase breaks."""
+    None: its phase must lie in ``FOLD``, then the click probabilities it draws
+    with, those of ``projection_probabilities``, must keep the less likely one
+    at ``minority_floor`` or above."""
     phase = 2.0 * proto.oam_l * alpha + proto.delta_phi
-    for broken, rule in (("cannot be identified", FOLD),
-                         ("risks an empty minority channel", minority_phases(nu, trials))):
-        if not rule.holds(phase):
-            ends = ((end - proto.delta_phi) / (2.0 * proto.oam_l) for end in (rule.lo, rule.hi))
-            return f"{broken}: it must be {Range(*ends, rule.ends).text(degrees)}"
-    return None
+    if not FOLD.holds(phase):
+        broken, rule = "cannot be identified", FOLD
+    elif min(_click_probabilities(phase)) < minority_floor(nu, trials):
+        broken, rule = "risks an empty minority channel", minority_phases(nu, trials)
+    else:
+        return None
+    ends = ((end - proto.delta_phi) / (2.0 * proto.oam_l) for end in (rule.lo, rule.hi))
+    return f"{broken}: it must be {Range(*ends, rule.ends).text(degrees)}"
+
+
+def _click_probabilities(phase: float) -> tuple[float, float]:
+    p_l = 0.5 * (1.0 + math.sin(phase))
+    return p_l, 1.0 - p_l
 
 
 def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[float, float]:
@@ -298,9 +322,7 @@ def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[flo
 
     pL = [1 + sin(2*l*alpha + delta_phi)] / 2 and pR = 1 - pL.
     """
-    total_phase = 2.0 * proto.oam_l * alpha + proto.delta_phi
-    p_l = 0.5 * (1.0 + math.sin(total_phase))
-    return p_l, 1.0 - p_l
+    return _click_probabilities(2.0 * proto.oam_l * alpha + proto.delta_phi)
 
 
 def estimate_alpha(record: ShotRecord, proto: RotationProtocol) -> float:

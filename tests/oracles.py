@@ -37,10 +37,10 @@ from iqpe.statekit import (
     UnitaryMatrix,
     _check_dims,
     apply_unitary,
+    check_rounding,
     expm_herm_generator,
     variance,
 )
-from iqpe.tolerances import EXPECTATION_IMAG_TOL
 
 # Default central-difference step for the numeric QFI.
 DEFAULT_STEP = 1e-5
@@ -62,16 +62,14 @@ DEGENERATE_PROB_TOL = 1e-12
 def expectation(op: HermitianOperator, state: PureState) -> float:
     """<psi|op|psi> as a real scalar.
 
-    The imaginary residue must be below tolerance (it is asserted, then
-    discarded); a Hermitian operator cannot produce more than roundoff.
+    The imaginary part is held to the rounding of ||op||_F * d, as
+    ``variance`` holds it, then discarded: a Hermitian operator cannot
+    produce more than roundoff.
     """
     _check_dims(op.dim, state.dim)
     psi = state.amplitudes
     value = np.vdot(psi, op.entries @ psi)
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise ContractViolation(
-            f"expectation has imaginary residue {value.imag:.3e} above tolerance"
-        )
+    check_rounding("imaginary part of <op>", abs(value.imag), np.linalg.norm(op.entries) * op.dim)
     return float(value.real)
 
 

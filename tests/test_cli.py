@@ -200,6 +200,20 @@ def test_rotation_sim_refuses_trials_past_the_top_before_the_minority_rule(capsy
     assert "0.967949196" not in err
 
 
+def test_rotation_sim_refuses_a_minority_probability_that_rounds_to_zero(tmp_path, capsys):
+    # at nu = 2^63 - 1 the minority floor is 4.5e-18, and asin(1 - 2 p_min)
+    # rounded to pi/2: the phase passed, while pR = 1 - pL rounded to 0, so
+    # every trial drew nu photons in one channel and 'ratio' read 6.78e-7
+    out = tmp_path / "sim"
+    argv = ["rotation-sim", "--l", "1", "--nu", str(protocol.NU.hi), "--alpha-deg",
+            "44.99999999", "--trials", "100", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha-deg 44.99999999 risks an empty minority channel")
+    assert "[-44.9999997, 44.9999995] deg" in err and err.count("\n") == 1
+    assert not (out / "rotation_sim.json").exists()
+
+
 @pytest.mark.parametrize("alpha_deg, code", [("44.9", 1), ("33", 1), ("32.9", 0)])
 def test_rotation_sim_refuses_angle_with_an_empty_minority_channel(tmp_path, capsys, alpha_deg,
                                                                    code):
@@ -515,6 +529,43 @@ def test_process_entries_match_main(tmp_path, capsys, argv, code):
             assert read_json(out / "manifest.json")["artifact_checksums"] == checksums
 
 
+# One value past each end of every ranged flag: the flag, then the arguments.
+REFUSED_PAST_AN_END = [
+    ("--order-n", "qfi-map --scenario rotation --order-n -1"),
+    ("--order-n", "qfi-map --scenario rotation --order-n 301"),
+    ("--resolution", "qfi-map --scenario birefringence --resolution 1"),
+    ("--nbar", "kerr --nbar -5e-324"),
+    ("--nbar", "kerr --nbar 1000000.0000000001"),
+    ("--l", "rotation-sim --alpha-deg 0 --seed 1 --l 0"),
+    ("--l", "rotation-sim --alpha-deg 0 --seed 1 --l 9007199254740993"),
+    ("--alpha-deg", "rotation-sim --l 5 --seed 1 --alpha-deg -inf"),
+    ("--alpha-deg", "rotation-sim --l 5 --seed 1 --alpha-deg inf"),
+    ("--delta-phi-deg", "rotation-sim --l 5 --alpha-deg 0 --seed 1 --delta-phi-deg -180"),
+    ("--delta-phi-deg",
+     "rotation-sim --l 5 --alpha-deg 0 --seed 1 --delta-phi-deg 180.00000000000003"),
+    ("--nu", "rotation-sim --l 5 --alpha-deg 0 --seed 1 --nu 999"),
+    ("--nu", "rotation-sim --l 5 --alpha-deg 0 --seed 1 --nu 9223372036854775808"),
+    ("--trials", "rotation-sim --l 5 --alpha-deg 0 --seed 1 --trials 99"),
+    ("--trials", "rotation-sim --l 5 --alpha-deg 0 --seed 1 --trials 10000001"),
+    ("--seed", "rotation-sim --l 5 --alpha-deg 0 --seed -1"),
+    ("--seed", "rotation-sim --l 5 --alpha-deg 0 --seed 18446744073709551616"),
+    ("--seed", f"experiment --config {FIT_CONFIG} --seed -1"),
+    ("--seed", f"experiment --config {FIT_CONFIG} --seed 18446744073709551616"),
+]
+
+
+@pytest.mark.parametrize("flag, args", REFUSED_PAST_AN_END,
+                         ids=[f"{args.split()[0]} {args.split()[-2]} {args.split()[-1]}"
+                              for _, args in REFUSED_PAST_AN_END])
+def test_value_past_an_end_is_refused_by_a_fresh_process(tmp_path, flag, args):
+    # each exits 1 with exactly one error line naming the flag, and no traceback
+    result = run_python(["-m", "iqpe.cli", *args.split(), "--out", str(tmp_path / "refused")])
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: argument {flag}: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == 1
 
@@ -557,7 +608,8 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
          "an integer in [0, 18446744073709551615]"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "-3"], "--seed",
          "an integer in [0, 18446744073709551615]"),
-        (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], "--l", ">= 1"),
+        (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], "--l",
+         "an integer in [1, 9007199254740992]"),
         (["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1", "--trials", "5"],
          "--trials", "an integer in [100, 10000000]"),
         # 8 bytes an estimate: 10^12 trials asked numpy for 7.28 TiB
@@ -850,6 +902,26 @@ def test_experiment_inverted_band_names_both_keys(tmp_path, capsys):
     assert f"{config}:" in err
     assert "'band_lo_hz'" in err and "'band_hi_hz'" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_oam_values_past_2_to_53_are_refused(tmp_path, capsys):
+    # 2*l is exact in float64 up to 2^53; a 401-digit l once ended in an
+    # OverflowError traceback, from the flag and from a fit table alike
+    huge = str(10**400)
+    argv = ["rotation-sim", "--alpha-deg", "0", "--seed", "1", "--l", huge]
+    assert main(argv + ["--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --l: must be an integer in [1, 9007199254740992], got")
+    assert err.count("\n") == 1
+    table = tmp_path / "phases.csv"
+    table.write_text(f"l,phi_rad\n1,0.1\n{huge},0.2\n3,0.3\n")
+    assert main(["fit", "--input", str(table), "--out", str(tmp_path / "fit")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}:3: bad numeric value: must be an integer in "
+                          "[-9007199254740992, 9007199254740992], got")
+    # the ends themselves run
+    table.write_text(f"l,phi_rad\n{-2**53},0.1\n0,0.2\n{2**53},0.3\n")
+    assert main(["fit", "--input", str(table), "--out", str(tmp_path / "ends")]) == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

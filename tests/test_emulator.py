@@ -310,7 +310,7 @@ def test_floor_slope_shot_noise():
 def test_floor_scan_needs_spectrum_config():
     with pytest.raises(ConfigError, match="mode=spectrum"):
         precision_vs_oam(parse_run_config(FIT_CONFIG), [50])
-    with pytest.raises(ConfigError, match=">= 1"):
+    with pytest.raises(ConfigError, match=r"an integer in \[1, 9007199254740992\]"):
         floor_scan([50, 0])
 
 
@@ -360,10 +360,11 @@ def test_replaced_config_outside_a_key_range_is_refused(changes, key):
     assert str(info.value).startswith(f"{key!r} must be ")
 
 
-@pytest.mark.parametrize("l_values", [(1.5, 4, 7), (-1, 4, 7)], ids=["fraction", "negative"])
+@pytest.mark.parametrize("l_values", [(1.5, 4, 7), (-1, 4, 7), (1, 4, 2**53 + 1)],
+                         ids=["fraction", "negative", "past-2^53"])
 def test_replaced_config_with_an_oam_value_outside_its_range_is_refused(l_values):
     # unchecked, a code-built fit ran at l = 1.5 and wrote record_l1.5.csv
-    with pytest.raises(ConfigError, match="an integer >= 0") as info:
+    with pytest.raises(ConfigError, match=r"an integer in \[0, 9007199254740992\]") as info:
         dataclasses.replace(parse_run_config(FIT_CONFIG), l_values=l_values)
     assert info.value.keys == ("l",)
 

@@ -285,6 +285,24 @@ def test_minority_phases_edge_meets_its_bound(nu, trials):
     assert log_chance == pytest.approx(-53.0 * math.log(2.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("nu", [protocol.NU.lo, 10**9, 5 * 10**17, protocol.NU.hi])
+@pytest.mark.parametrize("trials", [protocol.TRIALS.lo, protocol.TRIALS.hi])
+def test_minority_phases_end_where_the_drawn_probabilities_do(nu, trials):
+    # each end is the last phase whose click probabilities, rounded as the
+    # run draws with them, keep the minority one at the floor; one float past
+    # it they do not.  Near nu = 2^63 those probabilities are multiples of
+    # 2^-54 or 2^-53, far coarser than the floor, and asin(1 - 2 p_min) gave
+    # an edge of pi/2, where pR rounds to 0
+    rule = protocol.minority_phases(nu, trials)
+    floor = protocol.minority_floor(nu, trials)
+    proto = RotationProtocol(1)
+    for end in (rule.lo, rule.hi):
+        assert min(projection_probabilities(proto, end / 2.0)) >= floor
+        past = math.nextafter(end, math.copysign(math.inf, end))
+        assert min(projection_probabilities(proto, past / 2.0)) < floor
+    assert rule.hi < math.pi / 2.0
+
+
 def test_monte_carlo_reproducible():
     proto = RotationProtocol(5)
     first = monte_carlo_precision(proto, 1e-4, 10**4, 500, seed=21)

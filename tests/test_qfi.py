@@ -1,7 +1,11 @@
 """Fisher-information engine: closed forms, numeric agreement, bounds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iqpe.qfi import (
     ParameterizedDynamics,
@@ -211,6 +215,60 @@ def test_report_invariants_reject_inconsistent_values():
         QfiReport(qfi_sqpe=5.0, qfi_iqpe=5.0, bound_sqpe=4.0, bound_iqpe=8.0)
     with pytest.raises(ContractViolation):
         QfiReport(qfi_sqpe=3.0, qfi_iqpe=2.0, bound_sqpe=4.0, bound_iqpe=8.0)
+
+
+def _centered_state(rng, dim, edge):
+    """A state whose weights are a palindrome, so <V> = 0 for any spectrum
+    with lam_k = -lam_(d-1-k); ``edge`` of its norm^2 sits on the two ends."""
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps = amps + amps[::-1]
+    amps *= math.sqrt(1.0 - edge) / np.linalg.norm(amps)
+    amps[[0, -1]] += math.sqrt(edge / (2.0 if dim > 1 else 1.0))
+    return PureState(amps / np.linalg.norm(amps))
+
+
+def test_report_holds_at_the_fock_truncation_size():
+    # d = 1312 is the Fock truncation of nbar = 1000.  (|0> + |1311>)/sqrt(2) with a
+    # symmetric 1e-3 perturbation has <V> = 0, so both QFIs are equal in exact
+    # arithmetic; this draw's two come out 1.2e-9 apart, above the absolute
+    # 1e-9 the ordering once had, and far inside d * 4 max|lam|^2 rounding
+    dim = 1312
+    spectrum = np.arange(dim) - (dim - 1) / 2.0
+    amps = np.zeros(dim)
+    amps[[0, -1]] = 1.0
+    perturbation = np.random.default_rng(1312).normal(size=dim) * 1e-3
+    amps += perturbation + perturbation[::-1]
+    probe = PureState(amps / np.linalg.norm(amps))
+    report = qfi_report(ParameterizedDynamics(HermitianOperator(np.diag(spectrum))), probe)
+    assert report.dim == dim
+    assert report.qfi_sqpe == pytest.approx(report.qfi_iqpe, rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 1600), seed=st.integers(0, 2**32 - 1), edge=st.floats(0.0, 1.0),
+       evolution_time=st.floats(0.1, 10.0))
+@example(dim=1600, seed=0, edge=1.0, evolution_time=10.0)
+@example(dim=1312, seed=1, edge=0.999, evolution_time=1.0)
+def test_report_of_a_centered_probe_holds_over_size(dim, seed, edge, evolution_time):
+    # the batched kernel's QFIs over a centered spectrum of any size to 1.6k;
+    # the bounds need only the extreme eigenvalues
+    spectrum = np.arange(dim) - (dim - 1) / 2.0
+    probe = _centered_state(np.random.default_rng(seed), dim, edge)
+    sqpe, iqpe = qfi_batch(probe.amplitudes[None, :], spectrum, evolution_time)
+    ends = ParameterizedDynamics(HermitianOperator(np.diag(spectrum[[0, -1]])), evolution_time)
+    QfiReport(float(sqpe[0]), float(iqpe[0]), *qfi_upper_bounds(ends), dim=dim)
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), edge=st.floats(0.0, 1.0))
+@example(order=300, seed=0, edge=1.0)
+def test_report_of_a_centered_probe_holds_over_the_ladder(order, seed, edge):
+    # Lz's spectrum N, N-2, ..., -N is centered: the whole report, eigensolve
+    # and all, on the order-N ladder
+    ladder = modal_ladder(order)
+    probe = _centered_state(np.random.default_rng(seed), ladder.dim, edge)
+    report = qfi_report(ParameterizedDynamics(ladder.lz), probe)
+    assert report.qfi_sqpe == pytest.approx(report.qfi_iqpe, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

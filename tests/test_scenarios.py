@@ -371,11 +371,12 @@ def test_cross_check_picks_largest_excess():
     engine[0, 1] += 1e-3
     engine[1, 2] += 2e-3
     with pytest.raises(ContractViolation, match=r"theta=1\.0, phi=4\.0"):
-        scenarios._cross_check("test QFI", thetas, phis, closed, engine, 1e-6, 1e-8)
+        scenarios._cross_check("test QFI", thetas, phis, closed, engine, 40.0)
     engine[1, 2] = np.nan
     with pytest.raises(ContractViolation, match=r"theta=1\.0, phi=4\.0"):
-        scenarios._cross_check("test QFI", thetas, phis, closed, engine, 1e-6, 1e-8)
-    scenarios._cross_check("test QFI", thetas, phis, closed, closed + 1e-9, 1e-6, 1e-8)
+        scenarios._cross_check("test QFI", thetas, phis, closed, engine, 40.0)
+    # a few ulps of 10 pass: 64 * 2^-53 * 40 is about 2.8e-13
+    scenarios._cross_check("test QFI", thetas, phis, closed, closed + 1e-14, 40.0)
 
 
 def test_birefringence_matches_numeric_engine():

@@ -1,16 +1,20 @@
 """Linear-algebra substrate: construction contracts, operations, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqpe.statekit import (
+    ROUNDING_FACTOR,
     ContractViolation,
     HermitianOperator,
     PureState,
     UnitaryMatrix,
     apply_unitary,
+    check_rounding,
     expm_herm_generator,
     herm_eig,
     variance,
@@ -56,6 +60,29 @@ def test_hermitian_rejects_asymmetric():
 def test_unitary_rejects_scaled_identity():
     with pytest.raises(ContractViolation):
         UnitaryMatrix(2.0 * np.eye(2))
+
+
+def test_rounding_bound_scales_with_the_problem():
+    # one factor for every contract: the bound is ROUNDING_FACTOR * 2^-53 * scale
+    bound = ROUNDING_FACTOR * 2.0**-53 * 1312.0
+    check_rounding("state norm", bound, 1312.0)
+    check_rounding("state norm", -1.0, 0.0)
+    with pytest.raises(ContractViolation) as info:
+        check_rounding("state norm", np.nextafter(bound, 1.0), 1312.0)
+    assert str(info.value) == f"state norm: residual {bound:.3e} above its rounding bound {bound:.3e}"
+    with pytest.raises(ContractViolation, match="residual nan"):
+        check_rounding("state norm", math.nan, 1312.0)
+
+
+def test_state_norm_bound_grows_with_dimension():
+    # 1 + 1e-13 is off by more than the rounding of d = 2, not of d = 1312
+    for dim, holds in ((2, False), (1312, True)):
+        amps = np.full(dim, (1.0 + 1e-13) / math.sqrt(dim))
+        if holds:
+            PureState(amps)
+        else:
+            with pytest.raises(ContractViolation, match="state norm"):
+                PureState(amps)
 
 
 def test_values_are_immutable():
