@@ -110,6 +110,17 @@ def qfi_batch(
     return scale * var, scale * second_moment
 
 
+def _dense(states: np.ndarray, op: HermitianOperator, evolution_time: float):
+    """``qfi_dense``'s two arrays, then the spectrum of ``op`` they came from."""
+    psi = np.asarray(states)
+    if psi.ndim != 2 or psi.shape[1] != op.dim:
+        raise ContractViolation(
+            f"dimension mismatch: operator dim {op.dim} vs state block {psi.shape}"
+        )
+    eigenvalues, vectors = herm_eig(op)
+    return (*qfi_batch(psi @ vectors.entries.conj(), eigenvalues, evolution_time), eigenvalues)
+
+
 def qfi_dense(
     states: np.ndarray, op: HermitianOperator, evolution_time: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,17 +129,12 @@ def qfi_dense(
     One ``herm_eig`` gives the spectrum and the eigenvectors v_k; row psi
     becomes the amplitudes <v_k|psi>, i.e. ``psi @ conj(V)``.
     """
-    psi = np.asarray(states)
-    if psi.ndim != 2 or psi.shape[1] != op.dim:
-        raise ContractViolation(
-            f"dimension mismatch: operator dim {op.dim} vs state block {psi.shape}"
-        )
-    eigenvalues, vectors = herm_eig(op)
-    return qfi_batch(psi @ vectors.entries.conj(), eigenvalues, evolution_time)
+    return _dense(states, op, evolution_time)[:2]
 
 
-def _one_row(dyn: ParameterizedDynamics, probe: PureState) -> tuple[np.ndarray, np.ndarray]:
-    return qfi_dense(probe.amplitudes[None, :], dyn.characteristic_op, dyn.evolution_time)
+def _one_row(dyn: ParameterizedDynamics, probe: PureState):
+    """Both QFIs of one probe, then V's spectrum, from one ``herm_eig``."""
+    return _dense(probe.amplitudes[None, :], dyn.characteristic_op, dyn.evolution_time)
 
 
 def sqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
@@ -145,6 +151,18 @@ def iqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:
     return float(_one_row(dyn, probe)[1][0])
 
 
+def _bounds(dyn: ParameterizedDynamics, eigenvalues: np.ndarray) -> tuple[float, float]:
+    """``qfi_upper_bounds`` from V's ascending ``eigenvalues``."""
+    lam_m = float(eigenvalues[0])
+    lam_max = float(eigenvalues[-1])
+    t = dyn.evolution_time
+    bound_sqpe = (t * (lam_max - lam_m)) ** 2
+    bound_iqpe = max((2.0 * t * lam_max) ** 2, (2.0 * t * lam_m) ** 2)
+    check_rounding("standard bound over the switched one", bound_sqpe - bound_iqpe,
+                   dyn.dim * bound_iqpe)
+    return bound_sqpe, bound_iqpe
+
+
 def qfi_upper_bounds(dyn: ParameterizedDynamics) -> tuple[float, float]:
     """Eigenvalue upper bounds for both procedures at fixed evolution time.
 
@@ -157,24 +175,11 @@ def qfi_upper_bounds(dyn: ParameterizedDynamics) -> tuple[float, float]:
     The first never exceeds the second; that ordering is asserted on the
     returned pair, to the rounding of d * 4 T^2 max|lam|^2.
     """
-    eigenvalues, _ = herm_eig(dyn.characteristic_op)
-    lam_m = float(eigenvalues[0])
-    lam_max = float(eigenvalues[-1])
-    t = dyn.evolution_time
-    bound_sqpe = (t * (lam_max - lam_m)) ** 2
-    bound_iqpe = max((2.0 * t * lam_max) ** 2, (2.0 * t * lam_m) ** 2)
-    check_rounding("standard bound over the switched one", bound_sqpe - bound_iqpe,
-                   dyn.dim * bound_iqpe)
-    return bound_sqpe, bound_iqpe
+    return _bounds(dyn, herm_eig(dyn.characteristic_op)[0])
 
 
 def qfi_report(dyn: ParameterizedDynamics, probe: PureState) -> QfiReport:
-    """Both QFIs and both bounds for one probe; invariants checked on build."""
-    bound_sqpe, bound_iqpe = qfi_upper_bounds(dyn)
-    return QfiReport(
-        qfi_sqpe=sqpe_qfi(dyn, probe),
-        qfi_iqpe=iqpe_qfi(dyn, probe),
-        bound_sqpe=bound_sqpe,
-        bound_iqpe=bound_iqpe,
-        dim=dyn.dim,
-    )
+    """Both QFIs and both bounds for one probe, from one eigensolve of V;
+    invariants checked on build."""
+    sqpe, iqpe, eigenvalues = _one_row(dyn, probe)
+    return QfiReport(float(sqpe[0]), float(iqpe[0]), *_bounds(dyn, eigenvalues), dim=dyn.dim)

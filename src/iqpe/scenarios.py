@@ -61,8 +61,12 @@ LADDER_ORDER = Range(0, MAX_LADDER_ORDER, integer=True)
 MAX_NBAR = 1e6
 NBAR = Range(0.0, MAX_NBAR)
 
-# Points per sphere-map grid axis (theta; phi has twice as many).
-RESOLUTION = Range(2, integer=True)
+# Points per sphere-map grid axis (theta; phi has twice as many).  Each of a
+# map's 2 res^2 points holds a 32 B record and writes a CSV row of at most
+# 96 B: four %.17g cells of at most 23 characters (no value is negative),
+# three commas and a newline.  A budget of 256 MiB for both ends the axis at
+# res = 1024.
+RESOLUTION = Range(2, math.isqrt(2**28 // (2 * (32 + 96))), integer=True)
 
 # lg_field rejects grids whose boundary intensity exceeds this fraction of
 # the peak (aliasing guard for the rotation resampling check).
@@ -229,7 +233,7 @@ def _cross_check(label, thetas, phis, closed, engine, scale):
 
 
 def _check_normalized(block: np.ndarray, label: str) -> None:
-    """Every row of a complex ``(points, d)`` block has norm 1, to the rounding of d."""
+    """Every row of a ``(points, d)`` block has norm 1, to the rounding of d."""
     parts = np.ascontiguousarray(block).view(np.float64)
     norms = np.sqrt(np.einsum("pk,pk->p", parts, parts))
     check_rounding(f"{label} norm", np.max(np.abs(norms - 1.0)), block.shape[1])
@@ -286,99 +290,28 @@ def hlg_state(ladder: ModalLadder, l: int, pt: SpherePoint) -> PureState:
     return apply_unitary(expm_herm_generator(ladder.j3, pt.phi), tilted)
 
 
-def _parity_eigenpairs(size: int, off: np.ndarray, last: float):
-    """Eigenpairs of one parity block of j1: real, symmetric, tridiagonal,
-    with off-diagonal ``off`` and a diagonal that is zero but for ``last`` at
-    its end.  Returns the eigenvalues, the column eigenvectors Y, the worst
-    eigenpair residual and ||Y^T Y - I||_F."""
-    block = np.zeros((size, size))
-    block.flat[1 :: size + 1] = block.flat[size :: size + 1] = off
-    block.flat[-1:] = last
-    lam, y = np.linalg.eigh(block)
-    del block
-    residual = y * lam  # y lam - block y, from the block's three diagonals
-    residual[:-1] -= off[:, None] * y[1:]
-    residual[1:] -= off[:, None] * y[:-1]
-    residual[-1:] -= last * y[-1:]
-    worst = float(np.max(np.abs(residual), initial=0.0))
-    del residual
-    gram = y.T @ y
-    gram.flat[:: size + 1] -= 1.0
-    return lam, y, worst, float(np.linalg.norm(gram))
-
-
-def _tilted_modes(ladder: ModalLadder, l: int, thetas: np.ndarray) -> np.ndarray:
-    """exp(-1j*j2*theta)|N, l> for every theta, one row each.
-
-    j1 is real, symmetric and tridiagonal, and j2 = D j1 D^dag with
-    D = diag(i^k), so j1's real eigendecomposition j1 = V diag(lam) V^T
-    serves: the tilted mode is D V (e^{-i lam theta} o V^T D^dag |N, l>).
-    j1's off-diagonal is a palindrome, so j1 commutes with the exchange
-    k <-> N-k, and V is block diagonal in the basis of pair vectors
-    (e_k +- e_(N-k))/sqrt(2), k < (N+1)//2, plus the middle e_(N/2) of an
-    even N (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).  So
-    two float64 eigh of half size, one per parity, give V, and no
-    (N+1)^2 array is formed.  As in ``herm_eig``, the eigenpair residual is
-    held to the rounding of ||j1||_F * d and ||V^T V - I||_F to that of d;
-    the blocks' Frobenius norms add in quadrature to j1's and V's.
-    """
-    n, start = ladder.dim, ladder.index_of(l)
-    half = 0.5 * ladder.raising_elements()
-    pairs = n // 2  # row k < pairs mirrors row N - k; an odd n has a middle row
-    if n % 2:
-        # the middle row meets the pair (mid - 1, mid + 1) through both of its
-        # off-diagonals, sqrt(2) h in the symmetric block
-        link = half[:pairs].copy()
-        link[-1:] *= math.sqrt(2.0)
-        blocks = ((pairs + 1, link, 0.0), (pairs, half[: pairs - 1], 0.0))
-    else:
-        # the two middle rows meet each other: +h or -h on the pair's diagonal
-        mid = float(half[pairs - 1])
-        blocks = ((pairs, half[: pairs - 1], mid), (pairs, half[: pairs - 1], -mid))
-    (lam_s, y_s, worst_s, drift_s), (lam_a, y_a, worst_a, drift_a) = (
-        _parity_eigenpairs(*block) for block in blocks
-    )
-    norm = math.hypot(np.linalg.norm(lam_s), np.linalg.norm(lam_a))
-    check_rounding("eigenpairs of j1's parity blocks", max(worst_s, worst_a), norm * n)
-    check_rounding("||V^T V - I||_F of j1's parity blocks", math.hypot(drift_s, drift_a), n)
-
-    def evolve(lam, y, weights):
-        # V stays real (no complex copy of it)
-        phased = np.exp(-1j * np.outer(thetas, lam)) * weights
-        return phased.real @ y.T + 1j * (phased.imag @ y.T)
-
-    # D^dag |N, l> = (-i)^start |start>, and |start> is a pair vector sum or
-    # difference over sqrt(2), or the middle vector; the sqrt(2)s go in ``scale``
-    row = min(start, n - 1 - start)
-    sym = evolve(lam_s, y_s, y_s[row])
-    anti = 0.0  # the middle vector has no antisymmetric part
-    if row < pairs:
-        anti = evolve(lam_a, y_a, y_a[row] if start == row else -y_a[row])
-    tilted = np.empty((thetas.size, n), dtype=np.complex128)
-    tilted[:, : sym.shape[1]] = sym
-    tilted[:, :pairs] += anti
-    tilted[:, n - pairs :] = (sym[:, :pairs] - anti)[:, ::-1]
-    # a pair column and a pair start row each carry 1/sqrt(2)
-    paired, middle = (0.5, math.sqrt(0.5)) if row < pairs else (math.sqrt(0.5), 1.0)
-    scale = np.full(n, paired)
-    scale[pairs : n - pairs] = middle
-    # 1j ** k is exact for k in 0..3
-    return tilted * (scale * 1j ** ((np.arange(n) - start) % 4))
-
-
 def _rotation_engine(ladder: ModalLadder, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Engine QFIs of the top-OAM mode rotated to every (theta, phi) point.
 
-    The states are those of ``hlg_state``: the tilted start modes of
-    ``_tilted_modes``, then the phi rotation exp(-1j*j3*phi).  That rotation
-    is a diagonal unit-modulus phase in the Lz eigenbasis, so neither a
-    state's norm nor its weights |psi_k|^2 depend on phi: one kernel row
-    per theta holds for every phi.  Returns two ``(len(thetas), 1)`` arrays,
-    which broadcast over any phis.
+    The states are those of ``hlg_state`` with l = N.  Tilted by theta, the
+    top mode is an SU(2) coherent state whose amplitude on the k-th basis
+    vector has modulus sqrt(C(N, k)) |cos(theta/2)|^(N-k) |sin(theta/2)|^k
+    (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211 (1972)).  The phi
+    rotation exp(-1j*j3*phi) is a diagonal unit-modulus phase in the Lz
+    eigenbasis, so neither a state's norm nor its weights |psi_k|^2 depend
+    on phi, or on the amplitudes' phases: one kernel row of moduli per theta
+    holds for every phi.  Returns two ``(len(thetas), 1)`` arrays, which
+    broadcast over any phis.
     """
-    tilted = _tilted_modes(ladder, ladder.order_N, thetas)
-    _check_normalized(tilted, "rotated mode")
-    engine_s, engine_i = qfi_batch(tilted, ladder.oam_values().astype(float))
+    n = ladder.order_N
+    k = np.arange(n + 1)
+    root_binomials = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+    # math per theta, as in _sin_sq
+    cos_half = np.array([abs(math.cos(theta / 2.0)) for theta in thetas])[:, None]
+    sin_half = np.array([abs(math.sin(theta / 2.0)) for theta in thetas])[:, None]
+    rows = root_binomials * cos_half ** (n - k) * sin_half**k
+    _check_normalized(rows, "rotated mode")
+    engine_s, engine_i = qfi_batch(rows, ladder.oam_values().astype(float))
     return engine_s[:, None], engine_i[:, None]
 
 
@@ -389,8 +322,7 @@ def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
     4 N^2 cos^2(theta) + 4 N sin^2(theta).  Neither depends on phi, nor does
     the matrix engine's value, which is cross-checked against them once per
     theta to the rounding of d * 4 max|lam|^2 = 4 N^2 (N + 1).  Returns
-    ``SPHERE_MAP_DTYPE`` records, theta-major.  Other start modes have no
-    closed form here; use the engine directly for those.
+    ``SPHERE_MAP_DTYPE`` records, theta-major.
     """
     ladder = modal_ladder(order_N)
     thetas, phis = _grid_axes(grid_resolution)

@@ -500,19 +500,33 @@ RUN_SCRIPT = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["kerr", "--nbar", "4"], 0),
-        (["rotation-sim", "--l", "0", "--alpha-deg", "0", "--seed", "1"], 1),
-        (["fit", "--input", "{overflowing}"], 2),
-    ],
-    ids=["ok", "config-error", "contract-violation"],
-)
+# The README's command line examples ("ok" is its kerr example), then a
+# refused flag and a numeric contract violation.
+PROCESS_CASES = {
+    "ok": ("kerr --nbar 4", 0),
+    "readme-map": ("qfi-map --scenario rotation --order-n 4 --resolution 32", 0),
+    "readme-map300": ("qfi-map --scenario rotation --order-n 300 --resolution 2", 0),
+    "readme-biref": ("qfi-map --scenario birefringence", 0),
+    "readme-sim": ("rotation-sim --l 50 --alpha-deg 0.0005 --nu 1000000 --trials 10000 --seed 7",
+                   0),
+    "readme-fit": (f"experiment --config {FIT_CONFIG}", 0),
+    "readme-spec": (f"experiment --config {SPECTRUM_CONFIG}", 0),
+    "readme-fit-only": ("fit --input {phases}", 0),
+    "config-error": ("rotation-sim --l 0 --alpha-deg 0 --seed 1", 1),
+    "contract-violation": ("fit --input {overflowing}", 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES.values(), ids=PROCESS_CASES.keys())
 def test_process_entries_match_main(tmp_path, capsys, argv, code):
-    table = tmp_path / "phases.csv"
-    table.write_text("l,phi_rad\n1,1e308\n2,-1e308\n3,1e308\n")
-    argv = [arg.format(overflowing=table) for arg in argv]
+    # main() here, then `python -m iqpe.cli` and run(), which the console
+    # script calls, each in a fresh process: the same exit code, error lines
+    # and artifact bytes
+    phases = tmp_path / "phases.csv"
+    phases.write_text("l,phi_rad\n1,0.0045\n5,0.0205\n9,0.0365\n14,0.0565\n")
+    overflowing = tmp_path / "overflowing.csv"
+    overflowing.write_text("l,phi_rad\n1,1e308\n2,-1e308\n3,1e308\n")
+    argv = [arg.format(phases=phases, overflowing=overflowing) for arg in argv.split()]
     assert main(argv + ["--out", str(tmp_path / "main")]) == code
     err = capsys.readouterr().err.splitlines()
     module = run_python(["-m", "iqpe.cli", *argv, "--out", str(tmp_path / "module")])
@@ -534,6 +548,7 @@ REFUSED_PAST_AN_END = [
     ("--order-n", "qfi-map --scenario rotation --order-n -1"),
     ("--order-n", "qfi-map --scenario rotation --order-n 301"),
     ("--resolution", "qfi-map --scenario birefringence --resolution 1"),
+    ("--resolution", "qfi-map --scenario birefringence --resolution 1025"),
     ("--nbar", "kerr --nbar -5e-324"),
     ("--nbar", "kerr --nbar 1000000.0000000001"),
     ("--l", "rotation-sim --alpha-deg 0 --seed 1 --l 0"),
@@ -621,7 +636,7 @@ def test_non_finite_flag_is_config_error(tmp_path, capsys, argv, flag):
           "100000000000000000000"], "--nu", "an integer in [1000, 9223372036854775807]"),
         (["qfi-map", "--scenario", "rotation", "--order-n", "301"], "--order-n", "[0, 300]"),
         (["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "1"],
-         "--resolution", ">= 2"),
+         "--resolution", "an integer in [2, 1024]"),
         (["kerr", "--nbar", "-1"], "--nbar", "a finite number in [0, 1000000]"),
         (["kerr", "--nbar", "-1e-3"], "--nbar", "a finite number in [0, 1000000]"),
         (["kerr", "--nbar", "1000001"], "--nbar", "a finite number in [0, 1000000]"),
@@ -680,8 +695,10 @@ _SIM = ["rotation-sim", "--l", "5", "--alpha-deg", "0", "--seed", "1"]
 RANGED_FLAGS = {
     "order-n": (["qfi-map", "--scenario", "rotation"], "--order-n", scenarios.LADDER_ORDER,
                 False, scenarios.modal_ladder),
+    # both maps refuse by RESOLUTION in _grid_axes, but a map at the top
+    # holds 2 * 1024^2 points
     "resolution": (["qfi-map", "--scenario", "birefringence"], "--resolution",
-                   scenarios.RESOLUTION, False, scenarios.birefringence_qfi_map),
+                   scenarios.RESOLUTION, False, scenarios._grid_axes),
     "nbar": (["kerr"], "--nbar", scenarios.NBAR, False, scenarios.kerr_truncation),
     "l": (_SIM, "--l", protocol.OAM_L, False, protocol.RotationProtocol),
     "alpha-deg": (_SIM, "--alpha-deg", FINITE, True, lambda alpha: FINITE.check("alpha", alpha)),

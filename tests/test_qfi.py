@@ -244,6 +244,21 @@ def test_report_holds_at_the_fock_truncation_size():
     assert report.qfi_sqpe == pytest.approx(report.qfi_iqpe, rel=1e-14)
 
 
+def test_report_takes_one_eigensolve(monkeypatch):
+    # both bounds and both QFIs come from one herm_eig of V
+    sizes = []
+
+    def counted(op):
+        sizes.append(op.dim)
+        return herm_eig(op)
+
+    monkeypatch.setattr("iqpe.qfi.herm_eig", counted)
+    ladder = modal_ladder(4)
+    report = qfi_report(ParameterizedDynamics(ladder.lz), ladder.basis_state(4))
+    assert sizes == [ladder.dim]
+    assert (report.qfi_sqpe, report.qfi_iqpe) == (0.0, 64.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 1600), seed=st.integers(0, 2**32 - 1), edge=st.floats(0.0, 1.0),
        evolution_time=st.floats(0.1, 10.0))

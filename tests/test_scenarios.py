@@ -195,19 +195,26 @@ def test_hlg_equator_zero_oam():
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 40, 151, 299, 300])
-def test_tilted_modes_match_hlg_state(order):
-    # the map tilts through j2 = D j1 D^dag with D = diag(i^k); every QFI sees
-    # theta only through sin^2(theta), so only the amplitudes tell a tilt by
-    # +j2 from one by -j2.  j1's two parity blocks differ in shape with the
-    # parity of N+1, and the start rows l = N, -N mirror each other while
-    # l = N mod 2 is the middle row or next to it
+def test_tilted_modes_match_hlg_state(monkeypatch, order):
+    # the rows the engine hands to qfi_batch are the moduli of the tilted top
+    # mode's amplitudes, sqrt(C(N, k)) |cos(theta/2)|^(N-k) |sin(theta/2)|^k;
+    # squared, they are its weights at any phi
+    blocks = []
+    real = scenarios.qfi_batch
+
+    def spy(states, spectrum):
+        blocks.append(states)
+        return real(states, spectrum)
+
+    monkeypatch.setattr(scenarios, "qfi_batch", spy)
     ladder = modal_ladder(order)
-    thetas = np.array([0.0, 0.3, 1.2, math.pi / 2.0, 2.0, 3.0])
-    for l in sorted({order, order % 2, -order}):
-        tilted = scenarios._tilted_modes(ladder, l, thetas)
-        for row, theta in zip(tilted, thetas):
-            expected = hlg_state(ladder, l, SpherePoint(theta, 0.0)).amplitudes
-            assert np.max(np.abs(row - expected)) <= 1e-12
+    thetas = np.array([0.0, 0.3, 1.2, math.pi / 2.0, 2.0, 3.0, math.pi])
+    scenarios._rotation_engine(ladder, thetas)
+    (rows,) = blocks
+    assert rows.shape == (thetas.size, ladder.dim)
+    for row, theta in zip(rows, thetas):
+        weights = np.abs(hlg_state(ladder, order, SpherePoint(theta, 2.1)).amplitudes) ** 2
+        assert np.max(np.abs(row**2 - weights)) <= 1e-13
 
 
 def test_hlg_rejects_invalid_l():
@@ -292,8 +299,8 @@ def test_variance_and_qfi_order_over_ladder_range(order, theta, phi):
     st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
 )
 def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
-    # the map's batched route (one eigh, one kernel row per theta, which holds
-    # for every phi) against the per-point route at each drawn phi: hlg_state,
+    # the map's batched route (one kernel row per theta, which holds for
+    # every phi) against the per-point route at each drawn phi: hlg_state,
     # variance, second moment
     ladder = modal_ladder(order)
     thetas = np.array([theta])
@@ -310,38 +317,16 @@ def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
 
 
 def test_rotation_map_holds_no_dense_complex_ladder():
-    # the top-order map diagonalizes j1 as two half-size parity blocks, so it
-    # allocates at most two real (N+1)^2 matrices at once
-    tracemalloc.start()
-    try:
-        rotation_qfi_map(scenarios.MAX_LADDER_ORDER, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    dim = scenarios.MAX_LADDER_ORDER + 1
-    assert peak <= 2 * dim * dim * 8
-
-
-@pytest.mark.parametrize("order", [7, 8])
-@pytest.mark.parametrize("parity", [0, 1], ids=["symmetric", "antisymmetric"])
-def test_tilt_refuses_inexact_eigenpairs_of_either_block(monkeypatch, order, parity):
-    # j1 is diagonalized as two half-size blocks, and a perturbed eigenvector
-    # in either one trips the residual check
-    real = np.linalg.eigh
-    sizes = []
-
-    def perturbed(block):
-        lam, y = real(block)
-        if len(sizes) == parity:
-            y[0, -1] += 1e-6
-        sizes.append(block.shape[0])
-        return lam, y
-
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    with pytest.raises(ContractViolation, match="residual") as info:
-        scenarios._tilted_modes(modal_ladder(order), order, np.array([0.0, 1.0]))
-    assert "eigenpairs of j1" in str(info.value)
-    assert sizes == [(order + 2) // 2, (order + 1) // 2]
+    # the map's engine holds a few length-(N+1) vectors per theta and no
+    # (N+1)^2 array: at a fixed resolution its allocations grow linearly in N+1
+    for order in (150, scenarios.MAX_LADDER_ORDER):
+        tracemalloc.start()
+        try:
+            rotation_qfi_map(order, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * (order + 1)
 
 
 def test_rotation_cross_check_names_worst_point(monkeypatch):
