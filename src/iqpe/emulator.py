@@ -65,6 +65,17 @@ DEFAULT_BAND = (18e3, 28e3)
 # Bins masked out on each side of the signal peak when estimating the floor.
 PEAK_EXCLUSION_BINS = 3
 
+# Samples a spectrum takes at least, and bins its band covers at least: the
+# peak, its excluded neighbours and one floor bin on each side.
+MIN_SPECTRUM_SAMPLES = 1024
+MIN_BAND_BINS = 2 * PEAK_EXCLUSION_BINS + 2
+
+# A run holds about 25 float arrays per sample: every record's channels, phase
+# and angle, and while one record is made, demodulated, transformed and
+# written, its temporaries and CSVs.  A 256 MiB budget ends a run's records
+# at 1,342,177 samples in all.
+MAX_RUN_SAMPLES = 2**28 // (25 * 8)
+
 
 class ConfigError(ValueError):
     """A run configuration file or value is malformed; ``keys`` names the
@@ -280,8 +291,10 @@ def amplitude_spectrum(
     from the peak.
     """
     x = np.asarray(alpha_series, dtype=float)
-    if x.ndim != 1 or x.size < 1024:
-        raise ContractViolation(f"series must be 1-d with >= 1024 samples, got {x.shape}")
+    if x.ndim != 1 or x.size < MIN_SPECTRUM_SAMPLES:
+        raise ContractViolation(
+            f"series must be 1-d with >= {MIN_SPECTRUM_SAMPLES} samples, got {x.shape}"
+        )
     if np.any(~np.isfinite(x)):
         raise ContractViolation("series contains non-finite samples")
     f_lo, f_hi = band
@@ -298,7 +311,7 @@ def amplitude_spectrum(
         amplitudes[-1] = np.abs(spectrum[-1]) / n
     frequencies = np.fft.rfftfreq(n, 1.0 / sample_rate)
     in_band = np.flatnonzero((frequencies >= f_lo) & (frequencies <= f_hi))
-    if in_band.size < 2 * PEAK_EXCLUSION_BINS + 2:
+    if in_band.size < MIN_BAND_BINS:
         raise ContractViolation(f"band {band} covers too few bins ({in_band.size})")
     band_amps = amplitudes[in_band]
     peak_pos = int(np.argmax(band_amps))
@@ -365,8 +378,13 @@ class RunConfig:
         require(self.noise.silent or self.seed is not None,
                 "a seed is required when noise is enabled", "noise.phase_asd", "noise.shot",
                 "seed")
-        require(round(rate * self.duration_s) >= 1,
-                f"duration_s = {self.duration_s} gives no samples", "duration_s", "sample_rate")
+        samples = rate * self.duration_s  # before anything is drawn or round() meets an inf
+        require(samples * len(ls) <= MAX_RUN_SAMPLES, f"{len(ls)} record(s) of {samples:.6g} "
+                f"samples exceed the {MAX_RUN_SAMPLES} a run may hold", "sample_rate",
+                "duration_s", "l")
+        n = round(max(samples, 0.0))
+        require(n >= 1, f"duration_s = {self.duration_s} gives no samples", "duration_s",
+                "sample_rate")
         require(lo < hi, f"'band_lo_hz' ({lo}) must be below 'band_hi_hz' ({hi})",
                 "band_lo_hz", "band_hi_hz")
         # both modes synthesize a record; only a spectrum run takes a band
@@ -377,6 +395,14 @@ class RunConfig:
         require(mode == "fit" or hi <= nyquist, f"'band_hi_hz' ({hi}) {past_nyquist}",
                 "band_hi_hz", "sample_rate")
         if mode == "spectrum":
+            require(n >= MIN_SPECTRUM_SAMPLES, f"a spectrum takes at least "
+                    f"{MIN_SPECTRUM_SAMPLES} samples, 'sample_rate' * 'duration_s' gives {n}",
+                    "duration_s", "sample_rate")
+            frequencies = np.fft.rfftfreq(n, 1.0 / rate)  # amplitude_spectrum's bins
+            bins = np.count_nonzero((frequencies >= lo) & (frequencies <= hi))
+            require(bins >= MIN_BAND_BINS, f"the band covers {bins} bins of the spectrum, "
+                    f"which takes at least {MIN_BAND_BINS}", "band_lo_hz", "band_hi_hz",
+                    "duration_s")
             # a sinusoid's alpha sweeps [-|A|, |A|], a constant one is A
             l, amp, offset = ls[0], self.signal_amp_rad, self.delta_phi_rad
             alphas = (-abs(amp), abs(amp)) if self.signal_freq_hz > 0.0 else (amp,)

@@ -11,9 +11,10 @@ Covers the two estimation procedures compared throughout this package:
 
 The engine treats the time-independent linear encoding H(g) = g * V
 computationally, through V's spectrum: ``qfi_batch`` takes its eigenvalues
-and the states' amplitudes in its eigenbasis, and a dense V enters through
-one ``herm_eig`` in ``qfi_dense``.  The general time-ordered case enters
-only through the constant-eigenvalue upper-bound formulas.
+and the states' amplitudes in its eigenbasis.  Commands hand it spectra
+known in closed form; only the single-probe functions take a dense V,
+through one ``herm_eig``.  The general time-ordered case enters only
+through the constant-eigenvalue upper-bound formulas.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statekit import (FINITE, ContractViolation, HermitianOperator, PureState, check_rounding,
-                       herm_eig)
+from .statekit import (FINITE, ContractViolation, HermitianOperator, PureState, _check_dims,
+                       check_rounding, herm_eig)
 
 __all__ = [
     "ParameterizedDynamics",
     "QfiReport",
     "qfi_batch",
-    "qfi_dense",
     "sqpe_qfi",
     "iqpe_qfi",
     "qfi_upper_bounds",
@@ -102,39 +102,24 @@ def qfi_batch(
         )
     if np.iscomplexobj(lam):
         raise ContractViolation("a spectrum takes real eigenvalues")
-    weights = psi.real**2 + psi.imag**2
+    weights = psi.real**2 + psi.imag**2 if np.iscomplexobj(psi) else psi * psi
     mean = weights @ lam
-    var = np.einsum("pd,pd->p", weights, (lam - mean[:, None]) ** 2)
+    # the deviations laid out like the weights, so that einsum reads both in one order
+    var = np.einsum("pd,pd->p", weights,
+                    np.subtract(lam, mean[:, None], out=np.empty_like(weights)) ** 2)
     second_moment = weights @ (lam * lam)
     scale = 4.0 * evolution_time * evolution_time
     return scale * var, scale * second_moment
 
 
-def _dense(states: np.ndarray, op: HermitianOperator, evolution_time: float):
-    """``qfi_dense``'s two arrays, then the spectrum of ``op`` they came from."""
-    psi = np.asarray(states)
-    if psi.ndim != 2 or psi.shape[1] != op.dim:
-        raise ContractViolation(
-            f"dimension mismatch: operator dim {op.dim} vs state block {psi.shape}"
-        )
-    eigenvalues, vectors = herm_eig(op)
-    return (*qfi_batch(psi @ vectors.entries.conj(), eigenvalues, evolution_time), eigenvalues)
-
-
-def qfi_dense(
-    states: np.ndarray, op: HermitianOperator, evolution_time: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """``qfi_batch`` for a dense characteristic operator.
-
-    One ``herm_eig`` gives the spectrum and the eigenvectors v_k; row psi
-    becomes the amplitudes <v_k|psi>, i.e. ``psi @ conj(V)``.
-    """
-    return _dense(states, op, evolution_time)[:2]
-
-
 def _one_row(dyn: ParameterizedDynamics, probe: PureState):
-    """Both QFIs of one probe, then V's spectrum, from one ``herm_eig``."""
-    return _dense(probe.amplitudes[None, :], dyn.characteristic_op, dyn.evolution_time)
+    """Both QFIs of one probe, then V's spectrum, from one ``herm_eig``: on
+    V's eigenvectors v_k the probe's amplitudes are <v_k|psi> = psi @ conj(V)."""
+    op = dyn.characteristic_op
+    _check_dims(op.dim, probe.dim)
+    eigenvalues, vectors = herm_eig(op)
+    psi = probe.amplitudes[None, :] @ vectors.entries.conj()
+    return (*qfi_batch(psi, eigenvalues, dyn.evolution_time), eigenvalues)
 
 
 def sqpe_qfi(dyn: ParameterizedDynamics, probe: PureState) -> float:

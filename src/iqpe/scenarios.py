@@ -7,6 +7,10 @@ Three encodings are covered, each with its characteristic operator:
 * beam-profile rotation on the modal sphere of fixed-order transverse modes
   (orbital-angular-momentum operator).
 
+The polarization sphere is the order-1 modal sphere, which S1 = 2 J1 reads
+along x as Lz = 2 J3 reads the order-N one along z: one coherent-state
+engine serves both sphere maps.
+
 Conventions fixed here and inherited everywhere else:
 
 * Polarization basis is (|R>, |L>) with |R> at the north pole.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qfi import qfi_batch, qfi_dense
+from .qfi import qfi_batch
 from .statekit import (
     ContractViolation,
     HermitianOperator,
@@ -40,8 +44,6 @@ __all__ = [
     "SpherePoint",
     "ModalLadder",
     "LgFieldSample",
-    "stokes_operators",
-    "polarization_state",
     "birefringence_qfi_map",
     "modal_ladder",
     "hlg_state",
@@ -187,21 +189,6 @@ class LgFieldSample:
         return step * step
 
 
-def stokes_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """The three Stokes operators as Pauli matrices in the (|R>, |L>) basis."""
-    s1 = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=np.complex128))
-    s2 = HermitianOperator(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
-    s3 = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=np.complex128))
-    return s1, s2, s3
-
-
-def polarization_state(pt: SpherePoint) -> PureState:
-    """cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> (global phase dropped)."""
-    half = pt.theta / 2.0
-    amps = np.array([math.cos(half), math.sin(half) * np.exp(1j * pt.phi)])
-    return PureState(amps)
-
-
 def _grid_axes(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid's ``resolution`` thetas over [0, pi] (inclusive) and its
     ``2*resolution`` phis over [0, 2*pi)."""
@@ -232,50 +219,71 @@ def _cross_check(label, thetas, phis, closed, engine, scale):
                    f"phi={phis[worst[1]]}", gap[worst], scale)
 
 
-def _check_normalized(block: np.ndarray, label: str) -> None:
-    """Every row of a ``(points, d)`` block has norm 1, to the rounding of d."""
-    parts = np.ascontiguousarray(block).view(np.float64)
-    norms = np.sqrt(np.einsum("pk,pk->p", parts, parts))
-    check_rounding(f"{label} norm", np.max(np.abs(norms - 1.0)), block.shape[1])
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0, ..., x^n of every entry of ``x`` as an ``(n + 1, x.size)`` table, by
+    repeated multiplication: a ``**`` per entry calls libm's pow, far slower."""
+    x = x.reshape(-1)
+    table = np.empty((n + 1, x.size))
+    table[0] = 1.0
+    for j in range(1, n + 1):
+        np.multiply(table[j - 1], x, out=table[j])
+    return table
 
 
-def _sphere_map(label, thetas, phis, closed, engine, scale) -> np.ndarray:
-    """Cross-check the (standard, switched) ``closed`` forms against their
-    ``engine`` arrays to the rounding of ``scale``, then the map: a
-    ``SPHERE_MAP_DTYPE`` record per grid point, theta-major."""
-    _cross_check(f"{label} standard QFI", thetas, phis, closed[0], engine[0], scale)
-    _cross_check(f"{label} switched QFI", thetas, phis, closed[1], engine[1], scale)
+def _coherent_engine(order_N: int, cos_half: np.ndarray, sin_half: np.ndarray):
+    """Engine QFIs of order-N SU(2) coherent states, two arrays shaped like
+    ``cos_half`` and ``sin_half``, the moduli |cos(beta/2)| and |sin(beta/2)|
+    at each point's angle beta from the axis.  On the generator's k-th
+    eigenvector, eigenvalue N - 2k, a state's amplitude has modulus
+    sqrt(C(N, k)) |cos(beta/2)|^(N-k) |sin(beta/2)|^k (Arecchi, Courtens,
+    Gilmore & Thomas, PRA 6, 2211 (1972)), and the QFIs read only the
+    weights.  Each row's norm is held to the rounding of N + 1."""
+    columns = _powers(sin_half, order_N)  # sin^k in column k
+    columns *= _powers(cos_half, order_N)[::-1]
+    columns *= np.array([[math.sqrt(math.comb(order_N, k))] for k in range(order_N + 1)])
+    rows = columns.T  # a row per point, each column contiguous
+    norms = np.sqrt(np.einsum("pk,pk->p", rows, rows))
+    check_rounding("coherent state norm", np.max(np.abs(norms - 1.0)), order_N + 1)
+    engine_s, engine_i = qfi_batch(rows, order_N - 2.0 * np.arange(order_N + 1))
+    return engine_s.reshape(cos_half.shape), engine_i.reshape(cos_half.shape)
+
+
+def _sphere_map(label, order_N, thetas, phis, along_sq, across_sq, cos_half, sin_half):
+    """The ``SPHERE_MAP_DTYPE`` records, theta-major, of an order-N coherent
+    state read along an axis a.  With (a.n)^2 = ``along_sq`` and
+    1 - (a.n)^2 = ``across_sq``, arrays of shape ``(len(thetas), len(phis))``
+    or ``(len(thetas), 1)``, the closed forms are 4 N (1 - (a.n)^2) and
+    4 N^2 (a.n)^2 + 4 N (1 - (a.n)^2), each cross-checked against
+    ``_coherent_engine`` to the rounding of d * 4 max|lam|^2 = 4 N^2 (N + 1)."""
+    n = float(order_N)
+    engine_s, engine_i = _coherent_engine(order_N, cos_half, sin_half)
+    closed_s = 4.0 * n * across_sq
+    closed_i = 4.0 * n * n * along_sq + closed_s
+    scale = 4.0 * n * n * (n + 1.0)
+    _cross_check(f"{label} standard QFI", thetas, phis, closed_s, engine_s, scale)
+    _cross_check(f"{label} switched QFI", thetas, phis, closed_i, engine_i, scale)
     records = np.empty((thetas.size, phis.size), dtype=SPHERE_MAP_DTYPE)
     records["theta"] = thetas[:, None]
     records["phi"] = phis
-    records["qfi_sqpe"] = closed[0]
-    records["qfi_iqpe"] = closed[1]
+    records["qfi_sqpe"] = closed_s
+    records["qfi_iqpe"] = closed_i
     return records.reshape(-1)
 
 
 def birefringence_qfi_map(grid_resolution: int) -> np.ndarray:
     """QFI of the birefringent phase over the polarization sphere.
 
-    Closed forms: 4 - 4 sin^2(theta) cos^2(phi) for the standard procedure
-    and a flat 4 for the switched one.  Every grid point is cross-checked
-    against the generic engine, to the rounding of d * 4 max|lam|^2 = 8.
-    Returns ``SPHERE_MAP_DTYPE`` records, theta-major.
+    The order-1 sphere read along a = x: a.n = <S1> = sin(theta) cos(phi),
+    and the half-angle moduli are sqrt((1 +/- a.n)/2).  Closed forms: 4 - 4 sin^2(theta) cos^2(phi) for the standard procedure
+    and a flat 4 for the switched one.  Returns ``SPHERE_MAP_DTYPE``
+    records, theta-major.
     """
-    s1, _, _ = stokes_operators()
     thetas, phis = _grid_axes(grid_resolution)
-    cos_sq = np.array([math.cos(phi) ** 2 for phi in phis])
-    closed_s = 4.0 - 4.0 * _sin_sq(thetas)[:, None] * cos_sq
-    # cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> at every grid point
-    half = thetas / 2.0
-    states = np.empty((thetas.size, phis.size, 2), dtype=np.complex128)
-    states[..., 0] = np.cos(half)[:, None]
-    states[..., 1] = np.sin(half)[:, None] * np.exp(1j * phis)
-    block = states.reshape(-1, 2)
-    _check_normalized(block, "polarization state")
-    engine_s, engine_i = qfi_dense(block, s1)
-    shape = closed_s.shape
-    return _sphere_map("birefringence", thetas, phis, (closed_s, 4.0),
-                       (engine_s.reshape(shape), engine_i.reshape(shape)), 8.0)
+    along_sq = _sin_sq(thetas)[:, None] * np.array([math.cos(phi) ** 2 for phi in phis])
+    along = np.multiply.outer([math.sin(theta) for theta in thetas],
+                              [math.cos(phi) for phi in phis])
+    return _sphere_map("birefringence", 1, thetas, phis, along_sq, 1.0 - along_sq,
+                       np.sqrt((1.0 + along) / 2.0), np.sqrt((1.0 - along) / 2.0))
 
 
 def modal_ladder(order_N: int) -> ModalLadder:
@@ -290,49 +298,21 @@ def hlg_state(ladder: ModalLadder, l: int, pt: SpherePoint) -> PureState:
     return apply_unitary(expm_herm_generator(ladder.j3, pt.phi), tilted)
 
 
-def _rotation_engine(ladder: ModalLadder, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Engine QFIs of the top-OAM mode rotated to every (theta, phi) point.
-
-    The states are those of ``hlg_state`` with l = N.  Tilted by theta, the
-    top mode is an SU(2) coherent state whose amplitude on the k-th basis
-    vector has modulus sqrt(C(N, k)) |cos(theta/2)|^(N-k) |sin(theta/2)|^k
-    (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211 (1972)).  The phi
-    rotation exp(-1j*j3*phi) is a diagonal unit-modulus phase in the Lz
-    eigenbasis, so neither a state's norm nor its weights |psi_k|^2 depend
-    on phi, or on the amplitudes' phases: one kernel row of moduli per theta
-    holds for every phi.  Returns two ``(len(thetas), 1)`` arrays, which
-    broadcast over any phis.
-    """
-    n = ladder.order_N
-    k = np.arange(n + 1)
-    root_binomials = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
-    # math per theta, as in _sin_sq
-    cos_half = np.array([abs(math.cos(theta / 2.0)) for theta in thetas])[:, None]
-    sin_half = np.array([abs(math.sin(theta / 2.0)) for theta in thetas])[:, None]
-    rows = root_binomials * cos_half ** (n - k) * sin_half**k
-    _check_normalized(rows, "rotated mode")
-    engine_s, engine_i = qfi_batch(rows, ladder.oam_values().astype(float))
-    return engine_s[:, None], engine_i[:, None]
-
-
 def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
     """QFI of the rotation angle over the modal sphere, top-OAM start mode.
 
-    Closed forms for the l=N start state: 4 N sin^2(theta) and
-    4 N^2 cos^2(theta) + 4 N sin^2(theta).  Neither depends on phi, nor does
-    the matrix engine's value, which is cross-checked against them once per
-    theta to the rounding of d * 4 max|lam|^2 = 4 N^2 (N + 1).  Returns
+    ``hlg_state`` with l = N is the order-N sphere read along a = z, with
+    (a.n)^2 = cos^2(theta) = 1 - sin^2(theta) whatever phi.  Closed forms:
+    4 N sin^2(theta) and 4 N^2 cos^2(theta) + 4 N sin^2(theta).  Returns
     ``SPHERE_MAP_DTYPE`` records, theta-major.
     """
-    ladder = modal_ladder(order_N)
+    LADDER_ORDER.check("order", order_N)
     thetas, phis = _grid_axes(grid_resolution)
-    n = float(order_N)
     sin_sq = _sin_sq(thetas)[:, None]
-    closed_s = 4.0 * n * sin_sq
-    closed_i = 4.0 * n * n * (1.0 - sin_sq) + 4.0 * n * sin_sq
-    engine = _rotation_engine(ladder, thetas)
-    return _sphere_map("rotation", thetas, phis, (closed_s, closed_i), engine,
-                       4.0 * n * n * (n + 1.0))
+    # math per theta, as in _sin_sq
+    cos_half = np.array([abs(math.cos(theta / 2.0)) for theta in thetas])[:, None]
+    sin_half = np.array([abs(math.sin(theta / 2.0)) for theta in thetas])[:, None]
+    return _sphere_map("rotation", order_N, thetas, phis, 1.0 - sin_sq, sin_sq, cos_half, sin_half)
 
 
 def kerr_truncation(nbar: float) -> int:

@@ -12,7 +12,11 @@ Each one reaches a quantity of the package by a second, independent road:
   products, ``number_operator`` the dense photon-number matrix;
 * ``indefinite_rotation_unitary`` is the switched rotation on the joint
   space, and ``cfi`` the classical Fisher information of its two-outcome
-  readout.
+  readout;
+* ``stokes_operators``, ``polarization_state`` and ``qfi_dense`` are the
+  birefringence map's dense route: the Pauli matrices, the state
+  cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> and the QFIs of a block of
+  states from one eigensolve of a dense generator.
 
 Tensor-product convention: the first factor is the slow (outer) index.
 Joint meter+probe objects are built as ``tensor(meter, probe)``, so a block
@@ -28,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from iqpe.protocol import RotationProtocol
-from iqpe.qfi import ParameterizedDynamics
-from iqpe.scenarios import modal_ladder
+from iqpe.qfi import ParameterizedDynamics, qfi_batch
+from iqpe.scenarios import SpherePoint, modal_ladder
 from iqpe.statekit import (
     ContractViolation,
     HermitianOperator,
@@ -39,6 +43,7 @@ from iqpe.statekit import (
     apply_unitary,
     check_rounding,
     expm_herm_generator,
+    herm_eig,
     variance,
 )
 
@@ -239,3 +244,40 @@ def cfi(proto: RotationProtocol, alpha: float) -> float:
         )
     dp = l * math.cos(total_phase)  # dpL/dalpha; dpR/dalpha = -dp
     return dp * dp * (1.0 / p_l + 1.0 / p_r)
+
+
+# ---------------------------------------------------------------------------
+# the polarization sphere's dense route
+# ---------------------------------------------------------------------------
+
+
+def stokes_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
+    """The three Stokes operators as Pauli matrices in the (|R>, |L>) basis."""
+    s1 = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+    s2 = HermitianOperator(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
+    s3 = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=np.complex128))
+    return s1, s2, s3
+
+
+def polarization_state(pt: SpherePoint) -> PureState:
+    """cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> (global phase dropped)."""
+    half = pt.theta / 2.0
+    amps = np.array([math.cos(half), math.sin(half) * np.exp(1j * pt.phi)])
+    return PureState(amps)
+
+
+def qfi_dense(
+    states: np.ndarray, op: HermitianOperator, evolution_time: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``qfi_batch`` for a dense characteristic operator.
+
+    One ``herm_eig`` gives the spectrum and the eigenvectors v_k; row psi
+    becomes the amplitudes <v_k|psi>, i.e. ``psi @ conj(V)``.
+    """
+    psi = np.asarray(states)
+    if psi.ndim != 2 or psi.shape[1] != op.dim:
+        raise ContractViolation(
+            f"dimension mismatch: operator dim {op.dim} vs state block {psi.shape}"
+        )
+    eigenvalues, vectors = herm_eig(op)
+    return qfi_batch(psi @ vectors.entries.conj(), eigenvalues, evolution_time)

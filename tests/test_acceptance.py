@@ -17,7 +17,7 @@ from iqpe import scenarios as sc
 from iqpe.cli import main as cli_main
 from iqpe.qfi import ParameterizedDynamics, iqpe_qfi, qfi_upper_bounds, sqpe_qfi
 from iqpe.statekit import PureState
-from oracles import expectation, number_operator
+from oracles import expectation, number_operator, polarization_state, stokes_operators
 
 
 def _report(num: int, description: str, passed: bool, detail: str = "") -> None:
@@ -41,10 +41,10 @@ def test_criterion_1_closed_form_qfi_maps():
     # written out here, so neither can drift on its own
     start = time.perf_counter()
     all_match = True
-    s1, _, _ = sc.stokes_operators()
+    s1, _, _ = stokes_operators()
     dyn_pol = ParameterizedDynamics(s1)
     for theta, phi, map_s, map_i in sc.birefringence_qfi_map(32).tolist():
-        probe = sc.polarization_state(sc.SpherePoint(theta, phi))
+        probe = polarization_state(sc.SpherePoint(theta, phi))
         closed_s = 4.0 - 4.0 * math.sin(theta) ** 2 * math.cos(phi) ** 2
         got_s, got_i = sqpe_qfi(dyn_pol, probe), iqpe_qfi(dyn_pol, probe)
         if not (
@@ -95,7 +95,7 @@ def test_criterion_2_kerr_scenario():
 def test_criterion_3_bound_ordering():
     rng = np.random.default_rng(314159)
     scenarios = [
-        ParameterizedDynamics(sc.stokes_operators()[0]),
+        ParameterizedDynamics(stokes_operators()[0]),
         ParameterizedDynamics(sc.modal_ladder(4).lz),
         ParameterizedDynamics(number_operator(48)),
     ]

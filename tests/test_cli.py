@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,20 +73,42 @@ def test_qfi_map_rotation(tmp_path):
 
 
 def test_qfi_map_engine_disagreement_is_numeric_error(tmp_path, monkeypatch, capsys):
-    real = scenarios._rotation_engine
+    real = scenarios._coherent_engine
 
-    def perturbed(ladder, thetas):
-        engine_s, engine_i = real(ladder, thetas)
+    def perturbed(order_N, cos_half, sin_half):
+        engine_s, engine_i = real(order_N, cos_half, sin_half)
         engine_s[1] += 1.0
         return engine_s, engine_i
 
-    monkeypatch.setattr(scenarios, "_rotation_engine", perturbed)
+    monkeypatch.setattr(scenarios, "_coherent_engine", perturbed)
     code = main(["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "4",
                  "--out", str(tmp_path / "map")])
     assert code == 2
     err = capsys.readouterr().err
     # one engine value per theta holds for every phi; the first phi is named
     assert f"theta={math.pi / 3.0}, phi=0.0" in err
+
+
+def test_birefringence_engine_disagreement_names_its_point(tmp_path, monkeypatch, capsys):
+    # the birefringence engine holds a value per grid point, so the worst
+    # point's own phi is named, not the first
+    real = scenarios._coherent_engine
+
+    def perturbed(order_N, cos_half, sin_half):
+        engine_s, engine_i = real(order_N, cos_half, sin_half)
+        engine_s[2, 5] += 1.0
+        return engine_s, engine_i
+
+    monkeypatch.setattr(scenarios, "_coherent_engine", perturbed)
+    code = main(["qfi-map", "--scenario", "birefringence", "--resolution", "4",
+                 "--out", str(tmp_path / "map")])
+    assert code == 2
+    err = capsys.readouterr().err
+    thetas = np.linspace(0.0, math.pi, 4)
+    phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    assert "birefringence standard QFI" in err
+    assert f"theta={thetas[2]}, phi={phis[5]}" in err
+    assert phis[5] != 0.0
 
 
 def test_qfi_map_birefringence_flat(tmp_path):
@@ -543,6 +566,28 @@ def test_process_entries_match_main(tmp_path, capsys, argv, code):
             assert read_json(out / "manifest.json")["artifact_checksums"] == checksums
 
 
+def test_no_command_diagonalizes(tmp_path, monkeypatch):
+    # every generator a command reads is a spectrum known in closed form, so
+    # an eigensolver that always fails stops none of them
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    phases = tmp_path / "phases.csv"
+    phases.write_text("l,phi_rad\n1,0.0045\n5,0.0205\n9,0.0365\n14,0.0565\n")
+    commands = [
+        "qfi-map --scenario rotation --order-n 4 --resolution 8",
+        "qfi-map --scenario birefringence --resolution 8",
+        "kerr --nbar 4",
+        "rotation-sim --l 50 --alpha-deg 0.0005 --trials 1000 --seed 7",
+        f"experiment --config {FIT_CONFIG}",
+        f"experiment --config {SPECTRUM_CONFIG}",
+        f"fit --input {phases}",
+    ]
+    for k, argv in enumerate(commands):
+        assert main(argv.split() + ["--out", str(tmp_path / str(k))]) == 0, argv
+
+
 # One value past each end of every ranged flag: the flag, then the arguments.
 REFUSED_PAST_AN_END = [
     ("--order-n", "qfi-map --scenario rotation --order-n -1"),
@@ -906,6 +951,44 @@ def test_run_config_rule_names_the_lines_of_its_keys(tmp_path, capsys, key, valu
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:{','.join(str(at[k]) for k in keys)}: ")
     assert key in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, changes, keys",
+    [
+        # 600 samples: amplitude_spectrum refused the series with exit 2
+        (SPECTRUM_CONFIG, {"duration_s": "0.01"}, ("duration_s", "sample_rate")),
+        # 3 bins of 10 Hz: amplitude_spectrum refused the band with exit 2
+        (SPECTRUM_CONFIG, {"band_hi_hz": "18.02e3"}, ("band_lo_hz", "band_hi_hz", "duration_s")),
+        # 10^12 samples per record: 7.28 TiB asked of numpy
+        (FIT_CONFIG, {"sample_rate": "1e9", "duration_s": "1000"},
+         ("sample_rate", "duration_s", "l")),
+        # infinite sample counts: round() raised an OverflowError
+        (SPECTRUM_CONFIG, {"duration_s": "1e305"}, ("sample_rate", "duration_s", "l")),
+        (SPECTRUM_CONFIG, {"duration_s": "-1e305"}, ("duration_s", "sample_rate")),
+    ],
+    ids=["spectrum-600-samples", "band-3-bins", "record-past-the-budget", "infinite-record",
+         "negative-infinite-record"],
+)
+def test_record_size_is_a_config_error(tmp_path, capsys, monkeypatch, config, changes, keys):
+    # the rules that size a record and its spectrum refuse a config before
+    # anything is drawn, naming the lines of their keys
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("a record was synthesized")
+
+    monkeypatch.setattr(emulator, "synthesize_record", no_synthesis)
+    lines = [next((f"{key} = {value}" for key, value in changes.items()
+                   if line.startswith(f"{key} =")), line)
+             for line in Path(config).read_text().splitlines()]
+    at = {line.split(" =")[0]: k for k, line in enumerate(lines, 1) if " = " in line}
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {bad}:{','.join(str(at[key]) for key in keys)}: ")
     assert not (out / "manifest.json").exists()
 
 

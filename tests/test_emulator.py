@@ -3,13 +3,14 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iqpe import emulator
@@ -256,6 +257,41 @@ def test_spectrum_guards():
         amplitude_spectrum(np.zeros(2048), 60e3, (18e3, 40e3))
 
 
+@st.composite
+def record_and_band(draw):
+    """A record length, a sample rate and a band inside Nyquist, often a few
+    bins wide, whose ends are often exactly on a bin's frequency."""
+    n = draw(st.integers(emulator.MIN_SPECTRUM_SAMPLES, 4096))
+    rate = draw(st.sampled_from([60e3, 44.1e3, 1e3, 3.7]))
+    frequencies = np.fft.rfftfreq(n, 1.0 / rate)
+    k = draw(st.integers(0, frequencies.size - 1))
+    near = st.integers(-12, 12).map(lambda j: min(max(k + j, 0), frequencies.size - 1))
+    lo = float(frequencies[k]) if draw(st.booleans()) else draw(st.floats(0.0, rate / 2.0))
+    hi = draw(st.one_of(st.floats(0.0, rate / 2.0), near.map(lambda j: float(frequencies[j])),
+                        st.floats(0.0, 12.0 * rate / n).map(lambda w: min(lo + w, rate / 2.0))))
+    lo, hi = sorted((lo, hi))
+    # the top bin's frequency may round past Nyquist, which no band reaches
+    assume(lo < hi <= rate / 2.0)
+    return n, rate, (lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_and_band())
+def test_band_rule_counts_what_the_spectrum_finds(case):
+    # a spectrum-mode config is refused for its band exactly when
+    # amplitude_spectrum would refuse that band, and names the same count
+    n, rate, band = case
+    try:
+        RunConfig("spectrum", (1,), 1e-3, 0.0, 0.0, 0.0, rate, n / rate, band=band)
+    except ConfigError as exc:
+        assert exc.keys == ("band_lo_hz", "band_hi_hz", "duration_s")
+        bins = re.search(r"covers (\d+) bins", str(exc)).group(1)
+        with pytest.raises(ContractViolation, match=rf"covers too few bins \({bins}\)"):
+            amplitude_spectrum(np.zeros(n), rate, band)
+    else:
+        amplitude_spectrum(np.zeros(n), rate, band)
+
+
 def test_spectrum_parseval():
     rng = np.random.default_rng(4)
     x = rng.normal(size=6000)
@@ -461,7 +497,7 @@ def run_config_fields(draw):
     edge, or for a key's own range a value outside it."""
     at_edge = draw(st.sampled_from(
         ["mode", "l", "seed", "duration_s", "band", "signal_freq_hz", "band_hi_hz", "fold",
-         "power_w", "signal_amp_rad"]
+         "power_w", "signal_amp_rad", "run_samples", "spectrum_samples", "band_bins"]
     ))
 
     def pick(rule, holds, edge):
@@ -475,7 +511,22 @@ def run_config_fields(draw):
     l_values = pick("l", distinct, st.lists(st.integers(0, 300), min_size=1, max_size=5))
     rate = draw(st.sampled_from([60e3, 44.1e3, 1e3]))
     nyquist = rate / 2.0
-    hi = pick("band_hi_hz", st.floats(1.0, nyquist), _near(nyquist))
+    # a spectrum takes MIN_SPECTRUM_SAMPLES samples, and its band at least
+    # MIN_BAND_BINS bins of about 1/duration_s: a band [lo, hi] with
+    # lo <= hi/2 and hi >= 2 * (MIN_BAND_BINS + 1) bins holds them
+    shortest = (emulator.MIN_SPECTRUM_SAMPLES if mode == "spectrum" else 1) / rate
+    duration = pick("duration_s", st.floats(shortest, shortest + 0.2),
+                    st.one_of(_near(0.5 / rate), st.floats(-1.0, 0.0)))
+    if at_edge == "run_samples":
+        duration = draw(_near(emulator.MAX_RUN_SAMPLES / (rate * len(l_values))))
+    elif at_edge == "spectrum_samples" and mode == "spectrum":
+        duration = draw(_near((emulator.MIN_SPECTRUM_SAMPLES - 0.5) / rate))
+    step = 1.0 / max(duration, shortest)
+    widest = 2.0 * (emulator.MIN_BAND_BINS + 1) * step if mode == "spectrum" else 1.0
+    hi = pick("band_hi_hz", st.floats(min(widest, nyquist), nyquist), _near(nyquist))
+    lo = pick("band", st.floats(0.0, hi / 2.0), _near(hi))
+    if at_edge == "band_bins":
+        lo = draw(_near(max(hi - (emulator.MIN_BAND_BINS - 1) * step, 0.0)))
     offset = draw(st.floats(-0.5, 0.5))
     edge = (math.pi / 2.0 - abs(offset)) / (2.0 * max(l_values[0], 1))
     amp = pick("fold", st.floats(0.0, edge / 2.0), _near(edge)) * draw(st.sampled_from([1.0, -1.0]))
@@ -489,11 +540,10 @@ def run_config_fields(draw):
         signal_amp_rad=pick("signal_amp_rad", st.just(amp),
                             st.sampled_from([math.nan, math.inf, -math.inf])),
         sample_rate=rate,
-        duration_s=pick("duration_s", st.floats(1.0 / rate, 0.2),
-                        st.one_of(_near(0.5 / rate), st.floats(-1.0, 0.0))),
+        duration_s=duration,
         noise=NoiseSpec(draw(st.sampled_from([0.0, 1e-6])), draw(st.sampled_from([0.0, 1.0]))),
         seed=pick("seed", st.integers(0, 2**63), st.one_of(st.none(), st.integers(-2**63, -1))),
-        band=(pick("band", st.floats(0.0, hi / 2.0), _near(hi)), hi),
+        band=(lo, hi),
     )
 
 

@@ -16,7 +16,7 @@ from iqpe.qfi import (
     qfi_upper_bounds,
     sqpe_qfi,
 )
-from iqpe.scenarios import coherent_state, modal_ladder, stokes_operators
+from iqpe.scenarios import coherent_state, modal_ladder
 from iqpe.statekit import ContractViolation, HermitianOperator, PureState, herm_eig, variance
 from oracles import (
     expectation,
@@ -26,6 +26,7 @@ from oracles import (
     number_operator,
     qfi_numeric,
     sqpe_state_family,
+    stokes_operators,
 )
 
 S1, S2, S3 = stokes_operators()
@@ -144,7 +145,7 @@ def test_batch_rejects_bad_shapes():
         qfi_batch(np.ones((2, 3)), np.ones(4))
     with pytest.raises(ContractViolation):
         qfi_batch(np.ones((2, 3)), np.ones((3, 4)))
-    # a dense matrix is not a spectrum: it enters through qfi_dense
+    # a dense matrix is not a spectrum: it enters through herm_eig
     with pytest.raises(ContractViolation):
         qfi_batch(np.ones((2, 3)), np.eye(3))
     with pytest.raises(ContractViolation):

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from iqpe import scenarios
 from iqpe.qfi import ParameterizedDynamics, iqpe_qfi, sqpe_qfi
 from iqpe.scenarios import (
@@ -20,12 +22,18 @@ from iqpe.scenarios import (
     kerr_qfi,
     lg_field,
     modal_ladder,
-    polarization_state,
     rotation_qfi_map,
-    stokes_operators,
 )
 from iqpe.statekit import ContractViolation, herm_eig, variance
-from oracles import expectation, iqpe_state_family, qfi_numeric, sqpe_state_family
+from oracles import (
+    expectation,
+    iqpe_state_family,
+    polarization_state,
+    qfi_dense,
+    qfi_numeric,
+    sqpe_state_family,
+    stokes_operators,
+)
 
 # ---------------------------------------------------------------------------
 # Stokes operators and polarization states
@@ -91,6 +99,45 @@ def test_birefringence_bright_plane():
     probe = polarization_state(SpherePoint(math.pi / 2.0, math.pi / 2.0))
     assert sqpe_qfi(dyn, probe) == pytest.approx(4.0, abs=1e-12)
     assert iqpe_qfi(dyn, probe) == pytest.approx(4.0, abs=1e-12)
+
+
+def spied_qfi_batch(module, calls):
+    """Patch ``module.qfi_batch`` to record each (states, spectrum) it is handed."""
+    real = module.qfi_batch
+
+    def spy(states, spectrum, *args):
+        calls.append((np.asarray(states), np.asarray(spectrum)))
+        return real(states, spectrum, *args)
+
+    return mock.patch.object(module, "qfi_batch", spy)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=0.0, max_value=math.pi),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
+@example(0.0, 0.0)
+@example(math.pi / 2.0, 0.0)
+@example(math.pi / 2.0, math.pi)
+def test_order_one_engine_rows_are_polarization_weights_on_s1(theta, phi):
+    # the polarization sphere is the order-1 modal sphere read along x: the
+    # engine's rows at half-angle moduli sqrt((1 +/- sin(theta) cos(phi))/2),
+    # squared, are the weights of the dense state on S1's eigenvectors
+    along = math.sin(theta) * math.cos(phi)
+    engine_calls, dense_calls = [], []
+    with spied_qfi_batch(scenarios, engine_calls):
+        engine = scenarios._coherent_engine(1, np.array([math.sqrt((1.0 + along) / 2.0)]),
+                                            np.array([math.sqrt((1.0 - along) / 2.0)]))
+    with spied_qfi_batch(oracles, dense_calls):
+        dense = qfi_dense(polarization_state(SpherePoint(theta, phi)).amplitudes[None, :],
+                          stokes_operators()[0])
+    ((rows, spectrum),) = engine_calls
+    ((amplitudes, eigenvalues),) = dense_calls
+    assert spectrum.tolist() == [1.0, -1.0]
+    on_s1 = dict(zip(np.round(eigenvalues).tolist(), (np.abs(amplitudes[0]) ** 2).tolist()))
+    for lam, row_entry in zip(spectrum.tolist(), rows[0].tolist()):
+        assert row_entry**2 == pytest.approx(on_s1[lam], abs=1e-15)
+    for got, want in zip(engine, dense):
+        assert got[0] == pytest.approx(want[0], abs=1e-14)
 
 
 @pytest.mark.parametrize("order", [None, 0, 4])
@@ -194,24 +241,24 @@ def test_hlg_equator_zero_oam():
     assert expectation(ladder.lz, state) == pytest.approx(0.0, abs=1e-12)
 
 
+def half_angles(thetas):
+    """|cos(theta/2)| and |sin(theta/2)|: the tilted top mode's half-angle moduli."""
+    return np.abs(np.cos(thetas / 2.0)), np.abs(np.sin(thetas / 2.0))
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 7, 40, 151, 299, 300])
-def test_tilted_modes_match_hlg_state(monkeypatch, order):
+def test_tilted_modes_match_hlg_state(order):
     # the rows the engine hands to qfi_batch are the moduli of the tilted top
     # mode's amplitudes, sqrt(C(N, k)) |cos(theta/2)|^(N-k) |sin(theta/2)|^k;
     # squared, they are its weights at any phi
     blocks = []
-    real = scenarios.qfi_batch
-
-    def spy(states, spectrum):
-        blocks.append(states)
-        return real(states, spectrum)
-
-    monkeypatch.setattr(scenarios, "qfi_batch", spy)
     ladder = modal_ladder(order)
     thetas = np.array([0.0, 0.3, 1.2, math.pi / 2.0, 2.0, 3.0, math.pi])
-    scenarios._rotation_engine(ladder, thetas)
-    (rows,) = blocks
+    with spied_qfi_batch(scenarios, blocks):
+        scenarios._coherent_engine(order, *half_angles(thetas))
+    ((rows, spectrum),) = blocks
     assert rows.shape == (thetas.size, ladder.dim)
+    assert np.array_equal(spectrum, ladder.oam_values())
     for row, theta in zip(rows, thetas):
         weights = np.abs(hlg_state(ladder, order, SpherePoint(theta, 2.1)).amplitudes) ** 2
         assert np.max(np.abs(row**2 - weights)) <= 1e-13
@@ -303,17 +350,15 @@ def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
     # every phi) against the per-point route at each drawn phi: hlg_state,
     # variance, second moment
     ladder = modal_ladder(order)
-    thetas = np.array([theta])
-    engine_s, engine_i = scenarios._rotation_engine(ladder, thetas)
+    engine_s, engine_i = scenarios._coherent_engine(order, *half_angles(np.array([[theta]])))
     assert engine_s.shape == engine_i.shape == (1, 1)
-    for k, t in enumerate(thetas):
-        for p in (0.0, phi):
-            probe = hlg_state(ladder, order, SpherePoint(t, p))
-            v_psi = ladder.lz.entries @ probe.amplitudes
-            oracle_s = 4.0 * variance(ladder.lz, probe)
-            oracle_i = 4.0 * float(np.vdot(v_psi, v_psi).real)
-            assert engine_s[k, 0] == pytest.approx(oracle_s, rel=1e-9, abs=1e-12)
-            assert engine_i[k, 0] == pytest.approx(oracle_i, rel=1e-9, abs=1e-12)
+    for p in (0.0, phi):
+        probe = hlg_state(ladder, order, SpherePoint(theta, p))
+        v_psi = ladder.lz.entries @ probe.amplitudes
+        oracle_s = 4.0 * variance(ladder.lz, probe)
+        oracle_i = 4.0 * float(np.vdot(v_psi, v_psi).real)
+        assert engine_s[0, 0] == pytest.approx(oracle_s, rel=1e-9, abs=1e-12)
+        assert engine_i[0, 0] == pytest.approx(oracle_i, rel=1e-9, abs=1e-12)
 
 
 def test_rotation_map_holds_no_dense_complex_ladder():
@@ -332,14 +377,14 @@ def test_rotation_map_holds_no_dense_complex_ladder():
 def test_rotation_cross_check_names_worst_point(monkeypatch):
     thetas = np.linspace(0.0, math.pi, 5)
     phis = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
-    real = scenarios._rotation_engine
+    real = scenarios._coherent_engine
 
-    def perturbed(ladder, grid_thetas):
-        engine_s, engine_i = real(ladder, grid_thetas)
+    def perturbed(order_N, cos_half, sin_half):
+        engine_s, engine_i = real(order_N, cos_half, sin_half)
         engine_i[3] += 1e-3
         return engine_s, engine_i
 
-    monkeypatch.setattr(scenarios, "_rotation_engine", perturbed)
+    monkeypatch.setattr(scenarios, "_coherent_engine", perturbed)
     with pytest.raises(ContractViolation) as info:
         rotation_qfi_map(4, 5)
     message = str(info.value)
