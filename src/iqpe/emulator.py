@@ -276,6 +276,18 @@ def pzt_rotation_amplitude(vpp: float, piezo_gain: float, row_spacing: float) ->
     return 2.0 * prism_tilt
 
 
+def _band_bins(n: int, sample_rate: float, band: tuple[float, float]) -> range:
+    """The bins k <= n//2 of an n-sample spectrum whose frequency k*rate/n
+    lies in ``band``, compared exactly: lo*n <= k*rate <= hi*n in integers.
+    ``rfftfreq`` rounds, and its top bin can read above a band ending at
+    Nyquist.  The band and the rate are finite, lo >= 0 and the rate > 0."""
+    (lo, lo_den), (hi, hi_den) = band[0].as_integer_ratio(), band[1].as_integer_ratio()
+    rate, rate_den = sample_rate.as_integer_ratio()
+    first = -(-lo * n * rate_den // (rate * lo_den))
+    last = hi * n * rate_den // (rate * hi_den)
+    return range(first, min(last, n // 2) + 1)
+
+
 def amplitude_spectrum(
     alpha_series: np.ndarray,
     sample_rate: float,
@@ -299,7 +311,7 @@ def amplitude_spectrum(
         raise ContractViolation("series contains non-finite samples")
     f_lo, f_hi = band
     nyquist = sample_rate / 2.0
-    if not (0.0 <= f_lo < f_hi <= nyquist):
+    if not (0.0 <= f_lo < f_hi <= nyquist < math.inf):
         raise ContractViolation(
             f"band {band} must satisfy 0 <= f_lo < f_hi <= Nyquist ({nyquist})"
         )
@@ -310,7 +322,8 @@ def amplitude_spectrum(
     if n % 2 == 0:
         amplitudes[-1] = np.abs(spectrum[-1]) / n
     frequencies = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    in_band = np.flatnonzero((frequencies >= f_lo) & (frequencies <= f_hi))
+    bins = _band_bins(n, sample_rate, band)
+    in_band = np.arange(bins.start, bins.stop)
     if in_band.size < MIN_BAND_BINS:
         raise ContractViolation(f"band {band} covers too few bins ({in_band.size})")
     band_amps = amplitudes[in_band]
@@ -318,7 +331,14 @@ def amplitude_spectrum(
     peak_bin = int(in_band[peak_pos])
     signal_peak = (float(frequencies[peak_bin]), float(band_amps[peak_pos]))
     keep = np.abs(in_band - peak_bin) > PEAK_EXCLUSION_BINS
-    noise_floor = float(np.median(band_amps[keep]))
+    # np.median, bit for bit: its NaN check imports numpy.ma, 1.1 MB of a
+    # spectrum run's peak RSS, and these amplitudes are finite
+    floor_amps = np.sort(band_amps[keep])
+    half = floor_amps.size // 2
+    if floor_amps.size % 2:
+        noise_floor = float(floor_amps[half])
+    else:
+        noise_floor = float((floor_amps[half - 1] + floor_amps[half]) / 2.0)
     frequencies.setflags(write=False)
     amplitudes.setflags(write=False)
     return SpectrumReport(frequencies, amplitudes, noise_floor, signal_peak)
@@ -398,8 +418,7 @@ class RunConfig:
             require(n >= MIN_SPECTRUM_SAMPLES, f"a spectrum takes at least "
                     f"{MIN_SPECTRUM_SAMPLES} samples, 'sample_rate' * 'duration_s' gives {n}",
                     "duration_s", "sample_rate")
-            frequencies = np.fft.rfftfreq(n, 1.0 / rate)  # amplitude_spectrum's bins
-            bins = np.count_nonzero((frequencies >= lo) & (frequencies <= hi))
+            bins = len(_band_bins(n, rate, self.band))  # amplitude_spectrum's bins
             require(bins >= MIN_BAND_BINS, f"the band covers {bins} bins of the spectrum, "
                     f"which takes at least {MIN_BAND_BINS}", "band_lo_hz", "band_hi_hz",
                     "duration_s")

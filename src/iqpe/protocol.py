@@ -15,9 +15,13 @@ Randomness: every stochastic entry point takes an explicit seed, and stream
 i draws from the counter-based Philox4x64-10 keyed (seed, i), so results are
 bit-reproducible and independent of evaluation order.  The emulator's noise
 draws through ``trial_rng``'s numpy Generator.  The Monte Carlo evaluates
-Philox for a block of streams at once and feeds numpy's binomial algorithm,
+Philox for a block of streams at once and feeds numpy's BTPE sampler,
 vectorized over the trials still drawing, so its counts are those of
-``trial_rng(seed, i).binomial`` without loading ``numpy.random``.
+``trial_rng(seed, i).binomial`` without loading ``numpy.random``.  numpy
+takes BTPE when the less likely channel's mean p*nu exceeds 30; the
+minority-channel rule admits only p >= ``minority_floor``, and
+nu*minority_floor > 53*ln(2) - (53*ln(2))^2/(2*nu) >= 36.07 at every nu in
+``NU``, so every admitted draw is in BTPE's domain.
 """
 
 from __future__ import annotations
@@ -119,45 +123,16 @@ def _binomial_counts(seed: int, streams: np.ndarray, nu: int, p: float) -> np.nd
     """``trial_rng(seed, i).binomial(nu, p)`` for every stream i, bit for bit.
 
     numpy's C sampler is mirrored operation by operation: the count of the
-    less likely outcome is drawn, by inversion when its mean is at most 30
-    and by BTPE otherwise.  Every stream starts at the same buffer, so the
-    kernel runs one vectorized try over all the streams still drawing.
+    less likely outcome is drawn by BTPE.  numpy draws a mean of at most 30
+    by inversion instead; ``angle_refusal`` refuses every such p, so it is
+    refused here too.  Every stream starts at the same buffer, so the kernel
+    runs one vectorized try over all the streams still drawing.
     """
     if p > 0.5:
         return nu - _binomial_counts(seed, streams, nu, 1.0 - p)
     if p * nu <= 30.0:
-        return _inversion_counts(seed, streams, nu, p)
+        raise ContractViolation(f"BTPE needs p*nu > 30, got p*nu = {p * nu!r}")
     return _btpe_counts(seed, streams, nu, p)
-
-
-def _inversion_counts(seed: int, streams: np.ndarray, nu: int, p: float) -> np.ndarray:
-    """numpy's inversion sampler for p <= 0.5 and p*nu <= 30: one double a
-    try, walked up the pmf from 0, and a count past ``bound`` starts a new
-    try.  The Monte Carlo comes here only at nu above about 5e17, where a
-    phase within about 1e-8 rad of the fold rounds p to 0 or 1, or nearly."""
-    q = 1.0 - p
-    qn = math.exp(nu * math.log1p(-p))
-    n_p = nu * p
-    bound = int(min(float(nu), n_p + 10.0 * math.sqrt(n_p * q + 1)))
-    counts = np.zeros(streams.size, dtype=np.int64)
-    tries = np.ones(streams.size, dtype=np.int64)
-    u = _philox_doubles(1, seed, streams)[0]
-    px = np.full(streams.size, qn)
-    todo = np.arange(streams.size)
-    while todo.size:
-        todo = todo[u[todo] > px[todo]]
-        counts[todo] += 1
-        over = counts[todo] > bound
-        todo, again = todo[~over], todo[over]
-        u[todo] -= px[todo]
-        px[todo] = ((nu - counts[todo] + 1) * p * px[todo]) / (counts[todo] * q)
-        for j in np.unique(tries[again]).tolist():
-            fresh = again[tries[again] == j]
-            u[fresh] = _philox_doubles(j // 4 + 1, seed, streams[fresh])[j % 4]
-        counts[again], px[again] = 0, qn
-        tries[again] += 1
-        todo = np.concatenate((todo, again))
-    return counts
 
 
 def _btpe_counts(seed: int, streams: np.ndarray, nu: int, p: float) -> np.ndarray:
@@ -328,14 +303,12 @@ def projection_probabilities(proto: RotationProtocol, alpha: float) -> tuple[flo
 def estimate_alpha(record: ShotRecord, proto: RotationProtocol) -> float:
     """Invert the click statistics: [arcsin(dn/n) - delta_phi] / (2*l).
 
-    The count ratio is clamped to [-1, 1] so shot-noise excursions past the
-    saturation point stay estimable (at the cost of a bias that grows as
-    |2*l*alpha + delta_phi| approaches pi/2).
+    |nu_L - nu_R| <= nu_L + nu_R and int true division is correctly rounded,
+    so the count ratio lies in [-1, 1] and arcsin takes it as it is.
     """
     if record.nu_total < 1:
         raise ContractViolation("cannot estimate from an empty shot record")
     ratio = (record.nu_L - record.nu_R) / record.nu_total
-    ratio = min(1.0, max(-1.0, ratio))
     return (math.asin(ratio) - proto.delta_phi) / (2.0 * proto.oam_l)
 
 

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -408,6 +409,19 @@ def test_reused_out_kerr_then_map_manifest(tmp_path):
     assert_manifest_lists_exactly(out, ["map.csv", "summary.json"])
 
 
+def test_failed_artifact_write_is_one_error_line_and_leaves_no_temporary(tmp_path, capsys):
+    # a directory where map.csv belongs: os.replace once raised
+    # IsADirectoryError out of main() and left .map.csv.tmp-<pid> behind
+    out = tmp_path / "out"
+    (out / "map.csv" / "x").mkdir(parents=True)
+    argv = ["qfi-map", "--scenario", "rotation", "--order-n", "2", "--resolution", "4"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {str(out / 'map.csv')!r}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["map.csv"]
+
+
 def test_bench_tracer_finds_its_targets(tmp_path):
     # bench/tracer.py wraps named functions of every layer and exits 1 when
     # one is missing, so a rename here must update its TARGETS too.
@@ -489,6 +503,17 @@ def test_rotation_sim_loads_no_numpy_random(tmp_path):
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_spectrum_run_loads_no_numpy_ma(tmp_path):
+    # the noise floor is a sort, not np.median, whose NaN check imports
+    # numpy.ma: 1.1 MB of a spectrum run's peak RSS
+    argv = ["experiment", "--config", str(REPO / SPECTRUM_CONFIG), "--out", str(tmp_path / "x")]
+    code = (f"import sys, iqpe.cli; assert iqpe.cli.main({argv!r}) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 2**20 + 3])
@@ -1053,3 +1078,136 @@ def test_overflowing_fit_writes_no_nan(tmp_path, capsys):
     assert main(["fit", "--input", str(table), "--out", str(out)]) == 2
     assert "fit.json" in capsys.readouterr().err
     assert_no_non_finite_tokens(out)
+
+
+# ---------------------------------------------------------------------------
+# the contract of the whole CLI surface
+# ---------------------------------------------------------------------------
+
+
+def _past_ends(rule, degrees=False):
+    """One representable value past each finite end of ``rule``, in the flag's
+    unit; NaN and +-inf for a rule without finite ends."""
+    values = []
+    for end, kind, away in ((rule.lo, rule.ends[0], -math.inf), (rule.hi, rule.ends[1], math.inf)):
+        if rule.integer and math.isfinite(end):
+            values.append(end + (1 if away > 0 else -1))
+        elif math.isfinite(end):
+            end = math.degrees(end) if degrees else end
+            values.append(end if kind in "()" else math.nextafter(end, away))
+    return values or [math.nan, math.inf, -math.inf]
+
+
+def _ranged(rule, inside, past, degrees=False):
+    """One step past an end of ``rule`` if ``past``, else a value of
+    ``inside`` or an end of ``rule`` that it holds."""
+    if past:
+        return st.sampled_from(_past_ends(rule, degrees))
+    ends = [end for end in (rule.lo, rule.hi) if math.isfinite(end) and rule.holds(end)]
+    return st.one_of(inside, st.sampled_from([math.degrees(e) if degrees else e for e in ends]))
+
+
+@st.composite
+def _alpha_near_a_refusal(draw, l, delta_phi_deg, nu, trials):
+    """A true angle in degrees on, or a few floats around, an end of the fold
+    or of the minority-channel rule at the drawn l, offset, nu and trials."""
+    l = l if protocol.OAM_L.holds(l) else 1
+    offset = math.radians(delta_phi_deg) if math.isfinite(delta_phi_deg) else 0.0
+    rule = protocol.minority_phases(nu, trials)
+    phase = draw(st.sampled_from([rule.lo, rule.hi, protocol.FOLD.lo, protocol.FOLD.hi]))
+    alpha = math.degrees((phase - offset) / (2.0 * l))
+    for _ in range(draw(st.integers(0, 3))):
+        alpha = math.nextafter(alpha, draw(st.sampled_from([-math.inf, math.inf])))
+    return alpha
+
+
+@st.composite
+def cli_call(draw):
+    """A subcommand's argv and, for ``fit``, its table.  Each value comes
+    from its range or is an end of it; at most one goes one step past an
+    end.  Sizes stay at what a test can afford."""
+    command = draw(st.sampled_from(["qfi-map", "kerr", "rotation-sim", "fit"]))
+    if command == "qfi-map":
+        past = draw(st.one_of(st.none(), st.sampled_from(["--order-n", "--resolution"])))
+        argv = ["qfi-map", "--scenario", draw(st.sampled_from(["rotation", "birefringence"]))]
+        if past == "--order-n" or draw(st.booleans()):
+            argv += ["--order-n", draw(_ranged(scenarios.LADDER_ORDER, st.integers(0, 300),
+                                               past == "--order-n"))]
+        # a map at the top of RESOLUTION holds 2 * 1024^2 points
+        resolution = _ranged(scenarios.RESOLUTION, st.integers(2, 16), past == "--resolution")
+        argv += ["--resolution", draw(resolution.filter(lambda r: r != scenarios.RESOLUTION.hi))]
+        return [str(arg) for arg in argv], None
+    if command == "kerr":
+        nbar = scenarios.NBAR
+        nbar = draw(_ranged(nbar, st.floats(nbar.lo, nbar.hi), draw(st.booleans())))
+        return ["kerr", "--nbar", repr(nbar)], None
+    if command == "rotation-sim":
+        past = draw(st.one_of(st.none(), st.sampled_from(["l", "offset", "nu", "trials", "seed",
+                                                          "alpha"])))
+        l = draw(_ranged(protocol.OAM_L, st.sampled_from([1, 2, 5, 150, 4242]), past == "l"))
+        offset = draw(_ranged(protocol.DELTA_PHI, st.floats(-180.0, 180.0, exclude_min=True),
+                              past == "offset", degrees=True))
+        nu = draw(_ranged(protocol.NU, st.integers(protocol.NU.lo, protocol.NU.hi), past == "nu"))
+        # a run at the top of TRIALS draws 10^7 trials
+        trials = _ranged(protocol.TRIALS, st.sampled_from([100, 101, 2000]), past == "trials")
+        trials = draw(trials.filter(lambda t: t != protocol.TRIALS.hi))
+        seed = draw(_ranged(protocol.SEED, st.integers(protocol.SEED.lo, protocol.SEED.hi),
+                            past == "seed"))
+        alpha = draw(st.sampled_from(_past_ends(FINITE)) if past == "alpha"
+                     else _alpha_near_a_refusal(l, offset, nu, trials))
+        argv = ["rotation-sim", "--l", str(l), f"--alpha-deg={alpha!r}",
+                f"--delta-phi-deg={offset!r}", "--nu", str(nu), "--trials", str(trials),
+                "--seed", str(seed)]
+        return argv, None
+    past = draw(st.booleans())
+    ls = _ranged(cli._TABLE_L, st.integers(-8, 8), past and draw(st.booleans()))
+    phases = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+    phases = st.sampled_from(_past_ends(FINITE)) if past and draw(st.booleans()) else phases
+    rows = draw(st.lists(st.tuples(ls, phases), min_size=3, max_size=6, unique_by=lambda r: r[0]))
+    return ["fit"], "l,phi_rad\n" + "".join(f"{l},{phi!r}\n" for l, phi in rows)
+
+
+def _finite_artifacts(out):
+    """Every JSON number and CSV cell of the run's files, each finite."""
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            numbers, todo = [], [json.loads(text, parse_constant=float)]
+            while todo:
+                value = todo.pop()
+                if isinstance(value, dict):
+                    todo += value.values()
+                elif isinstance(value, list):
+                    todo += value
+                elif isinstance(value, float):
+                    numbers.append(value)
+        else:
+            numbers = [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+        assert all(map(math.isfinite, numbers)), path.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=cli_call())
+def test_every_cli_call_keeps_the_exit_contract(call):
+    # whatever a flag or a fit table holds, main() returns 0, 1 or 2, a
+    # failure is one error line, and a run that succeeds writes only finite
+    # numbers.  rotation-sim refuses every angle the Monte Carlo cannot draw
+    # before it draws, so it never reaches the binomial kernel's own refusal
+    argv, table = call
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if table is not None:
+            (tmp / "phases.csv").write_text(table)
+            argv = argv + ["--input", str(tmp / "phases.csv")]
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(tmp / "out")])
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        if code == 0:
+            assert err == ""
+            _finite_artifacts(tmp / "out")
+        else:
+            assert err.count("\n") == 1, err
+            assert err.startswith(("error: ", "numeric contract violation: ")), err
+        assert not (argv[0] == "rotation-sim" and code == 2), err

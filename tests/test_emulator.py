@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from iqpe import emulator
 from iqpe.emulator import (
+    MIN_BAND_BINS,
     VOLTS_PER_WATT,
     ConfigError,
     DetectorRecord,
@@ -255,6 +256,8 @@ def test_spectrum_guards():
         amplitude_spectrum(np.zeros(512), 60e3, (18e3, 28e3))
     with pytest.raises(ContractViolation):
         amplitude_spectrum(np.zeros(2048), 60e3, (18e3, 40e3))
+    with pytest.raises(ContractViolation, match="Nyquist"):  # was ZeroDivisionError
+        amplitude_spectrum(np.zeros(2048), math.inf, (18e3, 28e3))
 
 
 @st.composite
@@ -290,6 +293,33 @@ def test_band_rule_counts_what_the_spectrum_finds(case):
             amplitude_spectrum(np.zeros(n), rate, band)
     else:
         amplitude_spectrum(np.zeros(n), rate, band)
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_and_band(), st.integers(0, 2**32 - 1))
+def test_noise_floor_is_numpy_median(case, seed):
+    # the floor is np.median of the band's amplitudes away from the peak, bit
+    # for bit, at an odd or even count of them
+    n, rate, band = case
+    span = emulator._band_bins(n, rate, band)
+    bins = np.arange(span.start, span.stop)
+    assume(bins.size >= MIN_BAND_BINS)
+    report = amplitude_spectrum(np.random.default_rng(seed).normal(size=n), rate, band)
+    band_amps = report.amplitudes[bins]
+    keep = np.abs(bins - bins[np.argmax(band_amps)]) > emulator.PEAK_EXCLUSION_BINS
+    assert report.noise_floor == float(np.median(band_amps[keep]))
+
+
+def test_band_ending_at_nyquist_keeps_the_nyquist_bin():
+    # rfftfreq reads the top bin of 2482 samples at 3.7 Sa/s as
+    # 1.8500000000000003 Hz, past the band's 1.85; bins are kept by k*rate/n
+    n, rate = 2482, 3.7
+    nyquist_bin = n // 2
+    assert np.fft.rfftfreq(n, 1.0 / rate)[-1] > rate / 2.0
+    lo = (nyquist_bin - MIN_BAND_BINS + 0.5) * rate / n  # 8 bins up to Nyquist
+    report = amplitude_spectrum(np.tile([1e-6, -1e-6], n // 2), rate, (lo, rate / 2.0))
+    assert report.signal_peak == (report.frequencies[nyquist_bin], 1e-6)
+    RunConfig("spectrum", (1,), 1e-3, 0.0, 0.0, 0.0, rate, n / rate, band=(lo, rate / 2.0))
 
 
 def test_spectrum_parseval():

@@ -389,8 +389,6 @@ def test_kernel_draws_what_numpy_draws(seed, streams, nu, data):
         (2**62, 0.3, 11),
         (2**63 - 1, 5e-18, 3),  # and so does its s*(nu + 1)
         (5 * 10**17, 1 - 2**-53, 6),  # the Stirling arguments round as doubles
-        (5 * 10**17, 2**-54, 5),  # inversion, from a phase just inside the fold
-        (1000, 0.02, 1),  # inversion below the minority-channel rule
     ],
 )
 def test_kernel_matches_numpy_where_int64_and_rounding_bite(nu, p, seed):
@@ -412,8 +410,6 @@ GOLDEN_COUNTS = [
     (5, 89, 2**62, 0.5, 2305843012448607744),
     (0, 8, 2**63 - 1, 5e-18, 53),
     (6, 199, 5 * 10**17, 1 - 2**-53, 499999999999999967),
-    (5, 3, 5 * 10**17, 2**-54, 31),
-    (1, 4, 1000, 0.02, 25),
 ]
 
 
@@ -422,23 +418,42 @@ def test_kernel_golden_counts(seed, stream, nu, p, count):
     assert kernel_counts(seed, [stream], nu, p) == [count]
 
 
-def test_inversion_restarts_on_the_next_double(monkeypatch):
-    # a try whose count passes the bound starts again from the stream's next
-    # double, as numpy's loop does: a stream shifted by one leading 1 - 2^-53
-    # (which walks past any bound) must end where the unshifted one does
-    streams = np.arange(200, dtype=np.uint64)
-    expected = protocol._inversion_counts(7, streams, 1000, 0.002)
-    unshifted = protocol._philox_doubles
+@pytest.mark.parametrize("nu, p", [(5 * 10**17, 2**-54), (1000, 0.02), (1000, 0.98)])
+def test_kernel_refuses_a_mean_numpy_draws_by_inversion(nu, p):
+    # numpy draws a minority mean p*nu <= 30 by inversion, which the kernel
+    # does not mirror; the minority-channel rule refuses every such phase
+    with pytest.raises(ContractViolation, match=r"BTPE needs p\*nu > 30, got p\*nu = "):
+        kernel_counts(0, [0], nu, p)
 
-    def shifted(refill, seed, keys):
-        if refill == 1:
-            carried = np.full(keys.size, 1.0 - 2.0**-53)
-        else:
-            carried = unshifted(refill - 1, seed, keys)[3]
-        return [carried] + unshifted(refill, seed, keys)[:3]
 
-    monkeypatch.setattr(protocol, "_philox_doubles", shifted)
-    assert protocol._inversion_counts(7, streams, 1000, 0.002).tolist() == expected.tolist()
+@st.composite
+def phase_near_a_minority_end(draw):
+    """nu, trials and a phase on, or a few floats around, an end of
+    ``minority_phases(nu, trials)``, or anywhere between the ends."""
+    nu = draw(NUS)
+    trials = draw(st.one_of(st.integers(protocol.TRIALS.lo, protocol.TRIALS.hi),
+                            st.sampled_from([protocol.TRIALS.lo, protocol.TRIALS.hi])))
+    rule = protocol.minority_phases(nu, trials)
+    phase = draw(st.one_of(st.sampled_from([rule.lo, rule.hi]), st.floats(rule.lo, rule.hi)))
+    for _ in range(draw(st.integers(0, 4))):
+        phase = math.nextafter(phase, draw(st.sampled_from([-math.inf, math.inf])))
+    return nu, trials, phase
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_near_a_minority_end())
+def test_every_admitted_phase_draws_in_btpe_domain(case):
+    # wherever the rule admits a phase, the less likely channel's p that the
+    # kernel draws with has p*nu > 30 (at least 40.5 over NU x TRIALS), so
+    # the kernel never meets the mean it refuses
+    nu, trials, phase = case
+    proto = RotationProtocol(1)
+    if protocol.angle_refusal(proto, phase / 2.0, nu, trials) is not None:
+        return
+    p_l, _ = projection_probabilities(proto, phase / 2.0)
+    p = 1.0 - p_l if p_l > 0.5 else p_l
+    assert p * nu > 30.0
+    kernel_counts(trials, [0, 2**64 - 1], nu, p_l)
 
 
 def test_kernel_log_is_libm():
