@@ -127,16 +127,16 @@ def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
     single ``%`` operation.  Values are told apart by their bits, so -0.0
     and 0.0 stay ``-0`` and ``0``.  The lookup is a dict, not ``np.unique``,
     whose sort kernels would add their pages to every run's peak RSS.  Each
-    block is joined into one bytes chunk, so only one block of cell strings
-    is held at a time and the file is built without a text copy.
+    block's own floats are checked for finiteness and its rows appended to
+    one buffer, hashed and written as it is: the file's bytes are held once.
     """
-    if not np.isfinite(np.asarray(columns, dtype=float)).all():
-        raise ContractViolation(f"{name} would hold a non-finite value")
-    chunks = [header.encode("ascii")]
+    data = bytearray(header.encode("ascii"))
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         fields, formats = [], []
         for column in columns:
             block = np.asarray(column[start : start + _CSV_BLOCK_ROWS], dtype=float)
+            if not np.isfinite(block).all():
+                raise ContractViolation(f"{name} would hold a non-finite value")
             values = block.tolist()
             bits = block.view(np.int64).tolist()
             distinct = dict(zip(bits, values))
@@ -147,10 +147,10 @@ def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
             else:
                 fields.append(values)
                 formats.append(b"%.17g")
-        row = b",".join(formats)
-        chunks.append(b"\n".join([row % cells for cells in zip(*fields)]))
-    chunks.append(b"")  # the trailing newline
-    _put(out, name, b"\n".join(chunks))
+        row = b"\n" + b",".join(formats)
+        data += b"".join([row % cells for cells in zip(*fields)])
+    data += b"\n"  # the trailing newline
+    _put(out, name, data)
 
 
 def _write_manifest(
@@ -194,7 +194,6 @@ def _cmd_qfi_map(args) -> None:
     names = records.dtype.names
     _write_csv(out_dir, "map.csv", ",".join(names), [records[name] for name in names])
     sqpe, iqpe_vals = records["qfi_sqpe"], records["qfi_iqpe"]
-    dead = records[sqpe < DEAD_ZONE_THRESHOLD]
     summary = {
         "scenario": args.scenario,
         "order_n": args.order_n,
@@ -205,11 +204,10 @@ def _cmd_qfi_map(args) -> None:
         "qfi_iqpe_max": float(iqpe_vals.max()),
         "dead_zone": {
             "threshold": DEAD_ZONE_THRESHOLD,
-            "count": len(dead),
-            "points": [{"theta": t, "phi": p} for t, p in dead[["theta", "phi"]].tolist()],
+            "count": int(np.count_nonzero(sqpe < DEAD_ZONE_THRESHOLD)),
         },
     }
-    _write_json(out_dir, "summary.json", summary, "qfi_map_summary.v1.json")
+    _write_json(out_dir, "summary.json", summary, "qfi_map_summary.v2.json")
     _write_manifest(
         out_dir,
         "qfi-map",

@@ -90,10 +90,10 @@ _NONNEGATIVE = Range(0.0)
 _POSITIVE = Range(0.0, ends="(]")
 
 
-def _check_keys(*checks) -> None:
-    """``ConfigError`` naming the first (key, value, rule) whose rule refuses its value."""
-    for key, value, rule in checks:
-        rule.check(repr(key), value, ConfigError, (key,))
+def _check_keys(values) -> None:
+    """``ConfigError`` naming the first key whose ``_CONFIG_TABLE`` range refuses its value."""
+    for key, value in values.items():
+        _CONFIG_TABLE[key][2].check(repr(key), value, ConfigError, (key,))
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ class NoiseSpec:
     shot: float = 0.0
 
     def __post_init__(self):
-        _check_keys(("noise.phase_asd", self.phase_asd, _NONNEGATIVE),
-                    ("noise.shot", self.shot, _NONNEGATIVE))
+        _check_keys({"noise.phase_asd": self.phase_asd, "noise.shot": self.shot})
 
     @property
     def silent(self) -> bool:
@@ -189,7 +188,13 @@ def synthesize_record(
     detector volts.  Noise draws use the Philox streams
     (seed, stream_offset + {0, 1, 2}).
     """
-    _check_keys(("signal_freq_hz", signal_freq_hz, _NONNEGATIVE), ("power_w", power_w, _POSITIVE))
+    _check_keys({"l": l, "signal_amp_rad": signal_amp_rad, "signal_freq_hz": signal_freq_hz,
+                 "delta_phi_rad": delta_phi, "power_w": power_w, "sample_rate": sample_rate,
+                 "duration_s": duration, "seed": seed})
+    # round(sample_rate * duration) from 1 to the budget; finite factors may overflow
+    if not 0.5 < sample_rate * duration <= MAX_RUN_SAMPLES:
+        raise ConfigError(f"'sample_rate' * 'duration_s' gives {sample_rate * duration:.6g} "
+                          f"samples, not from 1 to {MAX_RUN_SAMPLES}", ("sample_rate", "duration_s"))
     if signal_freq_hz > 0.0 and sample_rate < 2.0 * signal_freq_hz:
         raise ContractViolation(
             f"sample rate {sample_rate} below Nyquist for {signal_freq_hz} Hz"
@@ -225,7 +230,6 @@ def demodulate_phase(record: DetectorRecord) -> PhaseSeries:
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(total > 0.0, (record.ch1 - record.ch2) / total, np.nan)
     phi = np.arcsin(np.clip(ratio, -1.0, 1.0))
-    phi[flagged] = np.nan
     return PhaseSeries(phi, flagged)
 
 
@@ -236,8 +240,6 @@ def fit_oam_series(measurements: Sequence[tuple[int, float]]) -> FitReport:
     angle), the intercept (the systematic phase offset), and the coefficient
     of determination.
     """
-    if len(measurements) < 3:
-        raise ConfigError(f"need >= 3 measurements, got {len(measurements)}")
     l_values = [l for l, _ in measurements]
     if len(set(l_values)) < 3:
         raise ConfigError("need >= 3 distinct OAM values for the fit")
@@ -246,9 +248,7 @@ def fit_oam_series(measurements: Sequence[tuple[int, float]]) -> FitReport:
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))
     dx = x - x_mean
-    var_x = float(np.dot(dx, dx))
-    if var_x <= 0.0:
-        raise ConfigError("degenerate fit input: OAM values are collinear")
+    var_x = float(np.dot(dx, dx))  # > 0: three distinct OAM values
     slope = float(np.dot(dx, y - y_mean)) / var_x
     intercept = y_mean - slope * x_mean
     residual = y - (slope * x + intercept)
@@ -269,8 +269,9 @@ def pzt_rotation_amplitude(vpp: float, piezo_gain: float, row_spacing: float) ->
     prism tilt, and the prism rotates the image by twice its own angle.
     Returns the rotation amplitude in radians (half of peak-to-peak).
     """
-    if vpp < 0.0 or piezo_gain <= 0.0 or row_spacing <= 0.0:
-        raise ContractViolation("actuation parameters must be positive (vpp >= 0)")
+    _NONNEGATIVE.check("vpp", vpp)
+    _POSITIVE.check("piezo_gain", piezo_gain)
+    _POSITIVE.check("row_spacing", row_spacing)
     differential_stroke = piezo_gain * vpp
     prism_tilt = differential_stroke / row_spacing
     return 2.0 * prism_tilt
@@ -379,22 +380,15 @@ class RunConfig:
         require(mode != "fit" or len(ls) >= 3, "fit mode needs at least 3 OAM values", "mode", "l")
         require(mode != "spectrum" or (len(ls) == 1 and OAM_L.holds(ls[0])),
                 f"spectrum mode takes exactly one OAM value, {OAM_L.text()}", "mode", "l")
-        oam = Range(0, OAM_L.hi, integer=True)  # a fit may take l = 0
+        oam = _CONFIG_TABLE["l"][2]
         require(all(map(oam.holds, ls)), f"OAM values must be {oam.text()}, got {ls}", "l")
         # each OAM value's run writes the files named after it
         require(len(set(ls)) == len(ls), f"'l' must hold distinct OAM values, got {ls}", "l")
         (lo, hi), nyquist = self.band, rate / 2.0
-        _check_keys(
-            ("power_w", self.power_w, _POSITIVE),
-            ("delta_phi_rad", self.delta_phi_rad, FINITE),
-            ("signal_freq_hz", self.signal_freq_hz, _NONNEGATIVE),
-            ("signal_amp_rad", self.signal_amp_rad, FINITE),
-            ("sample_rate", rate, _POSITIVE),
-            ("duration_s", self.duration_s, FINITE),
-            ("band_lo_hz", lo, _NONNEGATIVE),
-            ("band_hi_hz", hi, FINITE),
-            *([] if self.seed is None else [("seed", self.seed, SEED)]),
-        )
+        _check_keys({"power_w": self.power_w, "delta_phi_rad": self.delta_phi_rad,
+                     "signal_freq_hz": self.signal_freq_hz, "signal_amp_rad": self.signal_amp_rad,
+                     "sample_rate": rate, "duration_s": self.duration_s, "band_lo_hz": lo,
+                     "band_hi_hz": hi, **({} if self.seed is None else {"seed": self.seed})})
         require(self.noise.silent or self.seed is not None,
                 "a seed is required when noise is enabled", "noise.phase_asd", "noise.shot",
                 "seed")
@@ -458,22 +452,23 @@ def _oam_list(raw: str) -> tuple[int, ...]:
 
 _REQUIRED = object()
 
-# Every run-config key: its cast from text and its default (_REQUIRED: no
-# default).  Ranges are RunConfig's and NoiseSpec's rules.
+# Every run-config key: its cast from text, its default (_REQUIRED: no
+# default) and the range that RunConfig, NoiseSpec and synthesize_record hold
+# it to (for l, each OAM value's: a fit may take l = 0).
 _CONFIG_TABLE = {
     "mode": (str, _REQUIRED),
-    "l": (_oam_list, _REQUIRED),
-    "power_w": (float, _REQUIRED),
-    "delta_phi_rad": (float, 0.0),
-    "signal_freq_hz": (float, _REQUIRED),
-    "signal_amp_rad": (float, _REQUIRED),
-    "sample_rate": (float, _REQUIRED),
-    "duration_s": (float, _REQUIRED),
-    "band_lo_hz": (float, DEFAULT_BAND[0]),
-    "band_hi_hz": (float, DEFAULT_BAND[1]),
-    "noise.phase_asd": (float, 0.0),
-    "noise.shot": (float, 0.0),
-    "seed": (int, None),
+    "l": (_oam_list, _REQUIRED, Range(0, OAM_L.hi, integer=True)),
+    "power_w": (float, _REQUIRED, _POSITIVE),
+    "delta_phi_rad": (float, 0.0, FINITE),
+    "signal_freq_hz": (float, _REQUIRED, _NONNEGATIVE),
+    "signal_amp_rad": (float, _REQUIRED, FINITE),
+    "sample_rate": (float, _REQUIRED, _POSITIVE),
+    "duration_s": (float, _REQUIRED, FINITE),
+    "band_lo_hz": (float, DEFAULT_BAND[0], _NONNEGATIVE),
+    "band_hi_hz": (float, DEFAULT_BAND[1], FINITE),
+    "noise.phase_asd": (float, 0.0, _NONNEGATIVE),
+    "noise.shot": (float, 0.0, _NONNEGATIVE),
+    "seed": (int, None, SEED),
 }
 
 
@@ -505,7 +500,7 @@ def parse_run_config(path) -> RunConfig:
     for key, (_, lineno) in values.items():
         if key not in _CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    v = {key: _take(values, path, key, *spec) for key, spec in _CONFIG_TABLE.items()}
+    v = {key: _take(values, path, key, *spec[:2]) for key, spec in _CONFIG_TABLE.items()}
     try:
         # the remaining keys are RunConfig field names
         return RunConfig(

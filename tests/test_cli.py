@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,18 @@ def test_qfi_map_rotation(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["subcommand"] == "qfi-map"
     assert set(manifest["artifact_checksums"]) == {"map.csv", "summary.json"}
+
+
+def test_order_zero_map_counts_its_dead_zone(tmp_path):
+    # the order-0 map is 0 everywhere, so all its points are in the dead
+    # zone; the summary counts them and leaves their rows to map.csv
+    out = tmp_path / "map"
+    assert main(["qfi-map", "--scenario", "rotation", "--order-n", "0", "--resolution", "64",
+                 "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["dead_zone"] == {"threshold": cli.DEAD_ZONE_THRESHOLD, "count": 2 * 64**2}
+    assert (out / "summary.json").stat().st_size < 1000
+    jsonschema.validate(summary, cli._schema("qfi_map_summary.v2.json"))
 
 
 def test_qfi_map_engine_disagreement_is_numeric_error(tmp_path, monkeypatch, capsys):
@@ -424,17 +437,28 @@ def test_failed_artifact_write_is_one_error_line_and_leaves_no_temporary(tmp_pat
 
 def test_bench_tracer_finds_its_targets(tmp_path):
     # bench/tracer.py wraps named functions of every layer and exits 1 when
-    # one is missing, so a rename here must update its TARGETS too.
-    result = subprocess.run(
-        [sys.executable, str(REPO / "bench" / "tracer.py"), str(tmp_path / "spans.json"),
-         "smoke", "--", "qfi-map", "--scenario", "birefringence", "--resolution", "2",
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-    )
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "spans.json").is_file()
+    # one is missing, so a rename here must update its TARGETS too.  Its
+    # artifact counters add up what cli._atomic_write is given: they must
+    # read the files and bytes each run left, a map and a fit's 12 CSVs
+    commands = {
+        "map": ["qfi-map", "--scenario", "birefringence", "--resolution", "2"],
+        "fit": ["experiment", "--config", str(REPO / FIT_CONFIG)],
+    }
+    for name, argv in commands.items():
+        spans, out = tmp_path / f"{name}.json", tmp_path / name
+        result = subprocess.run(
+            [sys.executable, str(REPO / "bench" / "tracer.py"), str(spans), name, "--",
+             *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        counters = read_json(spans)["counters"]
+        files = list(out.iterdir())
+        assert counters["cli.artifact_files"] == len(files)
+        assert counters["cli.artifact_bytes"] == sum(path.stat().st_size for path in files)
+    assert len(list((tmp_path / "fit").glob("*.csv"))) == 12
 
 
 def run_python(args):
@@ -1104,6 +1128,8 @@ def _ranged(rule, inside, past, degrees=False):
     if past:
         return st.sampled_from(_past_ends(rule, degrees))
     ends = [end for end in (rule.lo, rule.hi) if math.isfinite(end) and rule.holds(end)]
+    if not ends:
+        return inside
     return st.one_of(inside, st.sampled_from([math.degrees(e) if degrees else e for e in ends]))
 
 
@@ -1186,20 +1212,17 @@ def _finite_artifacts(out):
         assert all(map(math.isfinite, numbers)), path.name
 
 
-@settings(max_examples=80, deadline=None)
-@given(call=cli_call())
-def test_every_cli_call_keeps_the_exit_contract(call):
-    # whatever a flag or a fit table holds, main() returns 0, 1 or 2, a
-    # failure is one error line, and a run that succeeds writes only finite
-    # numbers.  rotation-sim refuses every angle the Monte Carlo cannot draw
-    # before it draws, so it never reaches the binomial kernel's own refusal
-    argv, table = call
+def _check_exit_contract(argv, input_flag=None, text=None):
+    """Run ``argv`` through ``main()``, with ``text`` written to a file that
+    ``input_flag`` names: the exit code is 0, 1 or 2, a failure is one error
+    line, and a run that succeeds writes only finite numbers.  An exception
+    out of ``main()`` fails the caller with its traceback."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if table is not None:
-            (tmp / "phases.csv").write_text(table)
-            argv = argv + ["--input", str(tmp / "phases.csv")]
+        if text is not None:
+            (tmp / "input").write_text(text)
+            argv = argv + [input_flag, str(tmp / "input")]
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--out", str(tmp / "out")])
         err = err.getvalue()
@@ -1210,4 +1233,79 @@ def test_every_cli_call_keeps_the_exit_contract(call):
         else:
             assert err.count("\n") == 1, err
             assert err.startswith(("error: ", "numeric contract violation: ")), err
-        assert not (argv[0] == "rotation-sim" and code == 2), err
+    return code, err
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=cli_call())
+def test_every_cli_call_keeps_the_exit_contract(call):
+    # whatever a flag or a fit table holds, main() returns 0, 1 or 2, a
+    # failure is one error line, and a run that succeeds writes only finite
+    # numbers.  rotation-sim refuses every angle the Monte Carlo cannot draw
+    # before it draws, so it never reaches the binomial kernel's own refusal
+    argv, table = call
+    code, err = _check_exit_contract(argv, "--input", table)
+    assert not (argv[0] == "rotation-sim" and code == 2), err
+
+
+# Each run-config key but mode and l, with the range emulator holds it to.
+CONFIG_KEY_RULES = {key: spec[2] for key, spec in emulator._CONFIG_TABLE.items()
+                    if key not in ("mode", "l")}
+
+_LARGEST = sys.float_info.max
+
+
+@st.composite
+def experiment_config(draw):
+    """A fit or spectrum run config.  Each key comes from its rule's range or
+    is an end of it; at most one goes one step past an end.  A record that
+    runs holds at most 4096 samples; longer durations are ones the sample
+    budget refuses before anything is drawn."""
+    mode = draw(st.sampled_from(["fit", "spectrum"]))
+    past = draw(st.one_of(st.none(), st.sampled_from(["l", *CONFIG_KEY_RULES])))
+    rate = st.one_of(st.sampled_from([60e3, 200e3]), st.floats(1e3, 1e6))
+    rate = draw(_ranged(emulator._POSITIVE, rate, past == "sample_rate"))
+    nyquist = rate / 2.0 if emulator._POSITIVE.holds(rate) else 1e3
+    samples = draw(st.integers(1024 if mode == "spectrum" else 1, 4096))
+    band = sorted(draw(st.lists(st.floats(0.0, nyquist), min_size=2, max_size=2)))
+    anywhere = st.floats(allow_nan=False, allow_infinity=False)
+    inside = {
+        "power_w": st.one_of(st.floats(1e-6, 1.0), st.floats(0.0, _LARGEST, exclude_min=True)),
+        "delta_phi_rad": st.one_of(st.floats(-0.2, 0.2), anywhere),
+        "signal_freq_hz": st.floats(0.0, nyquist),
+        "signal_amp_rad": st.one_of(st.floats(-1e-4, 1e-4), anywhere),
+        "sample_rate": st.just(rate),
+        # a record that runs three times in seven; else no samples, or more
+        # than the budget
+        "duration_s": st.sampled_from([samples * 2.0 / nyquist] * 3
+                                      + [0.0, -1.0, -_LARGEST, _LARGEST]),
+        "band_lo_hz": st.just(band[0]),
+        "band_hi_hz": st.just(band[1]),
+        "noise.phase_asd": st.floats(0.0, 1e-5),
+        "noise.shot": st.floats(0.0, 2.0),
+        "seed": st.integers(protocol.SEED.lo, protocol.SEED.hi),
+    }
+    if mode == "spectrum":
+        ls = [draw(_ranged(protocol.OAM_L, st.integers(1, 200), past == "l"))]
+    else:
+        oam = emulator._CONFIG_TABLE["l"][2]
+        ls = draw(st.lists(_ranged(oam, st.integers(0, 40), False), min_size=3, max_size=4,
+                           unique=True))
+        if past == "l":
+            ls[draw(st.integers(0, len(ls) - 1))] = draw(st.sampled_from(_past_ends(oam)))
+    lines = [f"mode = {mode}", f"l = {', '.join(map(str, ls))}"]
+    for key, rule in CONFIG_KEY_RULES.items():
+        required = emulator._CONFIG_TABLE[key][1] is emulator._REQUIRED
+        # noise takes a seed; a run without one is refused one time in four
+        seeded = key == "seed" and any(line.startswith("noise.") for line in lines)
+        if key == past or required or draw(st.booleans()) or (seeded and draw(st.booleans())):
+            value = draw(_ranged(rule, inside[key], key == past))
+            lines.append(f"{key} = {value!r}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=experiment_config())
+def test_every_experiment_config_keeps_the_exit_contract(config):
+    # the run-config twin of the flag property above
+    _check_exit_contract(["experiment"], "--config", config)

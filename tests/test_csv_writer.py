@@ -1,6 +1,7 @@
 """The CSV artifact writer: byte-identical to one ``%.17g`` per cell."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpe import cli
+from iqpe import cli, scenarios
 from iqpe.statekit import ContractViolation
 
 BLOCK = cli._CSV_BLOCK_ROWS
@@ -87,3 +88,20 @@ def test_write_csv_refuses_non_finite(tmp_path, bad):
         cli._write_csv(out, "record_l7.csv", "t,x", (np.zeros(BLOCK + 1), column))
     assert list(tmp_path.iterdir()) == []
     assert out.checksums == {}
+
+
+def test_write_csv_holds_the_file_once(tmp_path):
+    # a rotation map's 2 * 182^2 = 66,248 rows of 4 columns: the growing
+    # buffer is the one copy of the file, with no list of block chunks,
+    # joined copy or float copy of the columns next to it
+    records = scenarios.rotation_qfi_map(300, 182)
+    names = records.dtype.names
+    columns = [records[name] for name in names]
+    tracemalloc.start()
+    try:
+        cli._write_csv(cli._OutDir(tmp_path), "map.csv", ",".join(names), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "map.csv").stat().st_size
+    assert peak <= 1.25 * size + 2**20, (peak, size)

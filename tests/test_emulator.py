@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from iqpe import emulator
 from iqpe.emulator import (
+    MAX_RUN_SAMPLES,
     MIN_BAND_BINS,
     VOLTS_PER_WATT,
     ConfigError,
@@ -98,6 +99,51 @@ def test_synthesis_refuses_what_the_run_config_keys_refuse(freq, power, key):
     with pytest.raises(ConfigError) as info:
         synthesize_record(1, 1e-8, freq, 0.0, power, SILENT, 60e3, 0.1, seed=0)
     assert info.value.keys == (key,)
+
+
+SYNTH_ARGS = dict(l=1, signal_amp_rad=1e-8, signal_freq_hz=20e3, delta_phi=0.0, power_w=1e-3,
+                  noise=SILENT, sample_rate=60e3, duration=0.1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "arg, key, past",
+    [
+        ("l", "l", [-1, 2**53 + 1]),
+        ("signal_amp_rad", "signal_amp_rad", []),
+        ("signal_freq_hz", "signal_freq_hz", [-5e-324]),
+        ("delta_phi", "delta_phi_rad", []),
+        ("power_w", "power_w", [0.0]),
+        ("sample_rate", "sample_rate", [0.0]),
+        ("duration", "duration_s", []),
+        ("seed", "seed", [-1, 2**64]),
+    ],
+)
+def test_synthesis_refuses_each_argument_past_its_range(arg, key, past):
+    # NaN, +-inf and one step past each finite end of the argument's run-config
+    # rule; a NaN amplitude or an infinite offset once gave a record of NaNs,
+    # and a zero sample rate an empty one
+    for value in [math.nan, math.inf, -math.inf, *past]:
+        with pytest.raises(ConfigError) as info:
+            synthesize_record(**{**SYNTH_ARGS, arg: value})
+        assert info.value.keys == (key,), value
+
+
+@pytest.mark.parametrize("rate, duration", [(1.0, 0.5), (1.0, MAX_RUN_SAMPLES + 1), (60e3, -1.0),
+                                            (60e3, 1e300), (1e300, 1e300)])
+def test_synthesis_refuses_a_record_outside_the_sample_budget(rate, duration):
+    # refused before anything is allocated: a duration of -1 or 1e300 once
+    # ended in numpy's own ValueError
+    with pytest.raises(ConfigError, match="samples") as info:
+        synthesize_record(**{**SYNTH_ARGS, "signal_freq_hz": 0.0, "sample_rate": rate,
+                             "duration": duration})
+    assert info.value.keys == ("sample_rate", "duration_s")
+
+
+@pytest.mark.parametrize("duration, size", [(0.51, 1), (MAX_RUN_SAMPLES, MAX_RUN_SAMPLES)])
+def test_synthesis_runs_at_the_ends_of_the_sample_budget(duration, size):
+    record = synthesize_record(**{**SYNTH_ARGS, "signal_freq_hz": 0.0, "sample_rate": 1.0,
+                                  "duration": duration})
+    assert record.ch1.size == size
 
 
 def test_detector_record_length_contract():
@@ -230,6 +276,19 @@ def test_pzt_spacing_scaling():
     assert pzt_rotation_amplitude(12e-3, 22e-9, 20e-3) == pytest.approx(base / 2.0)
     with pytest.raises(ContractViolation):
         pzt_rotation_amplitude(12e-3, -1e-9, 10e-3)
+
+
+@pytest.mark.parametrize("arg, past", [(0, -5e-324), (1, 0.0), (2, 0.0)],
+                         ids=["vpp", "piezo_gain", "row_spacing"])
+def test_pzt_refuses_each_argument_past_its_range(arg, past):
+    # NaN once came back as NaN, and an infinite spacing as 0.0
+    name = ("vpp", "piezo_gain", "row_spacing")[arg]
+    for value in (math.nan, math.inf, -math.inf, past):
+        args = [12e-3, 22e-9, 10e-3]
+        args[arg] = value
+        with pytest.raises(ContractViolation, match=f"^{name} must be "):
+            pzt_rotation_amplitude(*args)
+
 
 
 # ---------------------------------------------------------------------------
