@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -50,6 +51,11 @@ DEAD_ZONE_THRESHOLD = 1e-9
 
 # Rows per CSV formatting block: bounds the cell strings held at once.
 _CSV_BLOCK_ROWS = 256
+
+# Blocks of one varying column whose texts a run keeps for reuse.  An entry
+# is a block's bits (2 KiB) and its texts (at most 6.25 KiB), so the store
+# holds at most about 1 MiB; a res-1000 map fills 111 entries.
+_CSV_STORED_BLOCKS = 128
 
 # A fit table's OAM values: of either sign, with 2*l exact as protocol.OAM_L's.
 _TABLE_L = Range(-protocol.OAM_L.hi, protocol.OAM_L.hi, integer=True)
@@ -97,6 +103,8 @@ class _OutDir:
 
     path: Path
     checksums: dict = dataclasses.field(default_factory=dict)
+    # _write_csv's texts of one-varying-column blocks, by the block's bits
+    csv_texts: dict = dataclasses.field(default_factory=dict)
 
 
 def _put(out: _OutDir, name: str, data: bytes) -> None:
@@ -121,25 +129,34 @@ def _write_json(out: _OutDir, name: str, payload: dict, schema_name: str) -> Non
 def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
     """Each cell as ``%.17g``, at the cost of the distinct values of a block.
 
-    The rows go ``_CSV_BLOCK_ROWS`` at a time.  In a block, a column with
-    repeated values has each distinct value formatted once and its cells
-    looked up; one whose values are all distinct is formatted by the row's
-    single ``%`` operation.  Values are told apart by their bits, so -0.0
-    and 0.0 stay ``-0`` and ``0``.  The lookup is a dict, not ``np.unique``,
-    whose sort kernels would add their pages to every run's peak RSS.  Each
-    block's own floats are checked for finiteness and its rows appended to
-    one buffer, hashed and written as it is: the file's bytes are held once.
+    The rows go ``_CSV_BLOCK_ROWS`` at a time, and values are told apart by
+    their bits, so -0.0 and 0.0 stay ``-0`` and ``0``.  A column whose bits
+    are constant over a block is formatted once, into the row itself.  When
+    one column alone varies, its texts are joined with the row's other
+    cells as the separator, and ``out.csv_texts`` keeps them for a later
+    block of the run with the same bits: the ``t`` of a fit run's CSVs, the
+    phis of a map's thetas.  Otherwise the block's rows are one ``%``
+    operation on the row repeated: a varying column with repeated values has
+    each distinct value formatted once and its cells looked up, and one whose
+    values are all distinct is formatted by that operation.  The lookup is a
+    dict, not ``np.unique``, whose sort kernels would add their pages to
+    every run's peak RSS.  Each block's own floats are checked for finiteness
+    and its rows appended to one buffer, hashed and written as it is: the
+    file's bytes are held once.
     """
     data = bytearray(header.encode("ascii"))
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         fields, formats = [], []
-        for column in columns:
+        for k, column in enumerate(columns):
             block = np.asarray(column[start : start + _CSV_BLOCK_ROWS], dtype=float)
             if not np.isfinite(block).all():
                 raise ContractViolation(f"{name} would hold a non-finite value")
             values = block.tolist()
             bits = block.view(np.int64).tolist()
             distinct = dict(zip(bits, values))
+            if len(distinct) == 1:  # constant over the block: one text, in the row
+                formats.append(b"%.17g" % values[0])
+                continue
             if len(distinct) < len(values):
                 text = {b: b"%.17g" % v for b, v in distinct.items()}
                 fields.append(map(text.__getitem__, bits))
@@ -147,8 +164,20 @@ def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
             else:
                 fields.append(values)
                 formats.append(b"%.17g")
-        row = b"\n" + b",".join(formats)
-        data += b"".join([row % cells for cells in zip(*fields)])
+            varying = k, block
+        if len(fields) == 1:  # so ``varying`` is this block's one varying column
+            k, block = varying
+            key = block.tobytes()
+            text = out.csv_texts.get(key) or b"\n".join(map(b"%.17g".__mod__, block.tolist()))
+            if len(out.csv_texts) < _CSV_STORED_BLOCKS:
+                out.csv_texts[key] = text
+            formats[k] = b"%s"
+            pre, post = (b"\n" + b",".join(formats)).split(b"%s")
+            data += pre + text.replace(b"\n", post + pre) + post
+            continue
+        # the cells in row order, for the row repeated once per row
+        rows = (b"\n" + b",".join(formats)) * len(block)
+        data += rows % tuple(chain.from_iterable(zip(*fields)))
     data += b"\n"  # the trailing newline
     _put(out, name, data)
 
@@ -286,13 +315,15 @@ def _cmd_experiment(args) -> None:
         result = emulator.run_fit_pipeline(cfg)
         for run in result.runs:
             _experiment_artifacts(out_dir, run)
+        # fitted once the records are written: a non-finite one fails first, by name
+        fit = emulator.fit_oam_series(result.phi_means)
         summary = {
             "mode": "fit",
             "phi_means": [[l, phi] for l, phi in result.phi_means],
             "fit": {
-                "alpha_hat_rad": result.fit.alpha_hat,
-                "delta_phi_hat_rad": result.fit.delta_phi_hat,
-                "r_square": result.fit.r_square,
+                "alpha_hat_rad": fit.alpha_hat,
+                "delta_phi_hat_rad": fit.delta_phi_hat,
+                "r_square": fit.r_square,
             },
         }
         _write_json(out_dir, "summary.json", summary, "experiment_fit_summary.v1.json")

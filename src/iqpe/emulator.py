@@ -236,15 +236,16 @@ def demodulate_phase(record: DetectorRecord) -> PhaseSeries:
 def fit_oam_series(measurements: Sequence[tuple[int, float]]) -> FitReport:
     """Ordinary least squares of mean phase against twice the OAM value.
 
-    Needs at least three distinct OAM values; returns the slope (the rotation
-    angle), the intercept (the systematic phase offset), and the coefficient
-    of determination.
+    Needs at least three distinct OAM values and finite phases; returns the
+    slope (the rotation angle), the intercept (the systematic phase offset),
+    and the coefficient of determination.
     """
     l_values = [l for l, _ in measurements]
     if len(set(l_values)) < 3:
         raise ConfigError("need >= 3 distinct OAM values for the fit")
-    x = 2.0 * np.asarray(l_values, dtype=float)
-    y = np.asarray([phi for _, phi in measurements], dtype=float)
+    x = 2.0 * np.asarray(l_values)
+    y = np.asarray([FINITE.check(f"the phase of {m!r}", m[1], ConfigError) for m in measurements],
+                   dtype=float)
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))
     dx = x - x_mean
@@ -560,16 +561,16 @@ def _run_single(cfg: RunConfig, l: int, stream_offset: int) -> ChannelRun:
 class FitPipelineResult(NamedTuple):
     runs: list[ChannelRun]
     phi_means: list[tuple[int, float]]
-    fit: FitReport
 
 
 def run_fit_pipeline(cfg: RunConfig) -> FitPipelineResult:
-    """Static-angle runs over several OAM values, then the linear phase fit."""
+    """Static-angle runs over several OAM values and their mean phases, the
+    points that ``fit_oam_series`` fits a line through."""
     if cfg.mode != "fit":
         raise ConfigError(f"fit pipeline needs mode=fit, got {cfg.mode!r}")
     runs = [_run_single(cfg, l, stream_offset=8 * i) for i, l in enumerate(cfg.l_values)]
     phi_means = [(run.l, float(np.mean(run.phi))) for run in runs]
-    return FitPipelineResult(runs, phi_means, fit_oam_series(phi_means))
+    return FitPipelineResult(runs, phi_means)
 
 
 class SpectrumPipelineResult(NamedTuple):

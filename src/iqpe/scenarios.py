@@ -66,7 +66,7 @@ NBAR = Range(0.0, MAX_NBAR)
 # Points per sphere-map grid axis (theta; phi has twice as many).  At the top,
 # a map's peak RSS stays within 256 MiB of a bare `import iqpe.cli` (34 MiB):
 # fresh `python -m iqpe.cli qfi-map --resolution 1024` runs on Linux, numpy
-# 2.4.6 and one BLAS thread, peaked 149 MiB above it at order 0, 220 MiB at
+# 2.4.6 and one BLAS thread, peaked 149 MiB above it at order 0, 221 MiB at
 # order 300 and 241 MiB for birefringence, whose 124 MB map.csv is held once.
 RESOLUTION = Range(2, 1024, integer=True)
 

@@ -185,10 +185,10 @@ def test_criterion_6_crb_attainment():
 def test_criterion_7_fit_reproduction():
     alpha, offset = math.radians(0.99), math.radians(0.35)
     cfg = em.parse_run_config("configs/static_fit_six_l.cfg")
-    noiseless = em.run_fit_pipeline(cfg)
+    noiseless = em.fit_oam_series(em.run_fit_pipeline(cfg).phi_means)
     exact = (
-        abs(noiseless.fit.alpha_hat - alpha) < 1e-10
-        and abs(noiseless.fit.delta_phi_hat - offset) < 1e-10
+        abs(noiseless.alpha_hat - alpha) < 1e-10
+        and abs(noiseless.delta_phi_hat - offset) < 1e-10
     )
     noisy_cfg = em.RunConfig(
         mode="fit",
@@ -202,12 +202,12 @@ def test_criterion_7_fit_reproduction():
         noise=em.calibrated_noise(),
         seed=424242,
     )
-    noisy = em.run_fit_pipeline(noisy_cfg)
+    noisy = em.fit_oam_series(em.run_fit_pipeline(noisy_cfg).phi_means)
     _report(
         7,
         "six-OAM pipeline returns the synthesis truth (1e-10 noiseless, R^2 >= 0.999 noisy)",
-        exact and noisy.fit.r_square >= 0.999,
-        f"noisy R^2 = {noisy.fit.r_square:.6f}",
+        exact and noisy.r_square >= 0.999,
+        f"noisy R^2 = {noisy.r_square:.6f}",
     )
 
 

@@ -255,6 +255,27 @@ def test_fit_input_guards():
         fit_oam_series([(3, 0.1), (3, 0.2), (3, 0.3)])
 
 
+@pytest.mark.parametrize("measurements, entry", [
+    ([(1, math.nan), (2, 0.1), (3, 0.2)], "(1, nan)"),
+    ([(1, 0.0), (2, math.inf), (3, 0.2)], "(2, inf)"),
+    ([(1, 0.0), (2, 0.1), (3, -math.inf)], "(3, -inf)"),
+])
+def test_fit_refuses_a_non_finite_phase(measurements, entry):
+    # a library caller's NaN or infinity would otherwise give an all-NaN fit
+    with pytest.raises(ConfigError, match=re.escape(f"the phase of {entry} must be a finite")):
+        fit_oam_series(measurements)
+
+
+def test_fit_pipeline_of_overflowing_channels_refuses_its_fit():
+    # channels that overflow demodulate to NaN phases: the pipeline returns
+    # the runs for the caller to write (the CLI's CSV writer refuses them),
+    # and a fit of their means raises
+    result = run_fit_pipeline(dataclasses.replace(parse_run_config(FIT_CONFIG), power_w=1e308))
+    assert [run.l for run in result.runs] == [1, 4, 7, 10, 20, 30]
+    with pytest.raises(ConfigError, match=re.escape("the phase of (1, nan)")):
+        fit_oam_series(result.phi_means)
+
+
 # ---------------------------------------------------------------------------
 # actuation chain
 # ---------------------------------------------------------------------------
@@ -526,16 +547,16 @@ def test_noiseless_fit_over_config_range(l_values, delta_phi, top_phase):
     result = run_fit_pipeline(cfg)
     for run in result.runs:
         assert np.max(np.abs(run.phi - (2 * run.l * alpha + delta_phi))) < 1e-12
-    assert result.fit.alpha_hat == pytest.approx(alpha, rel=1e-9, abs=1e-12)
+    assert fit_oam_series(result.phi_means).alpha_hat == pytest.approx(alpha, rel=1e-9, abs=1e-12)
 
 
 def test_parse_shipped_fit_config():
     cfg = parse_run_config(FIT_CONFIG)
     assert cfg.mode == "fit"
     assert cfg.l_values == (1, 4, 7, 10, 20, 30)
-    result = run_fit_pipeline(cfg)
-    assert result.fit.alpha_hat == pytest.approx(math.radians(0.99), abs=1e-12)
-    assert result.fit.delta_phi_hat == pytest.approx(math.radians(0.35), abs=1e-12)
+    fit = fit_oam_series(run_fit_pipeline(cfg).phi_means)
+    assert fit.alpha_hat == pytest.approx(math.radians(0.99), abs=1e-12)
+    assert fit.delta_phi_hat == pytest.approx(math.radians(0.35), abs=1e-12)
 
 
 def test_parse_shipped_spectrum_config():
