@@ -57,10 +57,6 @@ _CSV_BLOCK_ROWS = 256
 # holds at most about 1 MiB; a res-1000 map fills 111 entries.
 _CSV_STORED_BLOCKS = 128
 
-# A fit table's OAM values: of either sign, with 2*l exact as protocol.OAM_L's.
-_TABLE_L = Range(-protocol.OAM_L.hi, protocol.OAM_L.hi, integer=True)
-
-
 class _NegativeNumber:
     """Matches every token that ``float()`` parses and that starts with ``-``."""
 
@@ -369,7 +365,8 @@ def _cmd_fit(args) -> None:
                 if len(parts) != 2:
                     raise ConfigError(f"{args.input}:{lineno}: expected 'l,phi_rad'")
                 try:
-                    measurements.append((_TABLE_L.parse(parts[0]), FINITE.parse(parts[1])))
+                    measurements.append((emulator.FIT_OAM_L.parse(parts[0]),
+                                         FINITE.parse(parts[1])))
                 except ValueError as exc:
                     raise ConfigError(f"{args.input}:{lineno}: bad numeric value: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .protocol import FOLD, OAM_L, SEED, trial_rng
+from .protocol import FOLD, OAM_L, SEED
 from .statekit import FINITE, ContractViolation, Range
 
 __all__ = [
@@ -64,6 +64,9 @@ DEFAULT_BAND = (18e3, 28e3)
 
 # Bins masked out on each side of the signal peak when estimating the floor.
 PEAK_EXCLUSION_BINS = 3
+
+# A fit's OAM values: of either sign, with 2*l exact as protocol.OAM_L's.
+FIT_OAM_L = Range(-OAM_L.hi, OAM_L.hi, integer=True)
 
 # Samples a spectrum takes at least, and bins its band covers at least: the
 # peak, its excluded neighbours and one floor bin on each side.
@@ -186,7 +189,9 @@ def synthesize_record(
     (power/2)*(1 +/- sin(2*l*alpha(t) + delta_phi)), with phase noise added
     on the argument and shot noise on each channel, then converted to
     detector volts.  Noise draws use the Philox streams
-    (seed, stream_offset + {0, 1, 2}).
+    (seed, stream_offset + {0, 1, 2}): the values of
+    ``trial_rng(seed, stream).standard_normal``, drawn by
+    ``ziggurat.standard_normals`` without loading ``numpy.random``.
     """
     _check_keys({"l": l, "signal_amp_rad": signal_amp_rad, "signal_freq_hz": signal_freq_hz,
                  "delta_phi_rad": delta_phi, "power_w": power_w, "sample_rate": sample_rate,
@@ -206,16 +211,19 @@ def synthesize_record(
         t = np.arange(n) / sample_rate
         alpha = signal_amp_rad * np.sin(2.0 * math.pi * signal_freq_hz * t)
     phase = 2.0 * l * alpha + delta_phi
+    if not noise.silent:
+        from .ziggurat import standard_normals  # imported here: runs without noise skip it
     if noise.phase_asd > 0.0:
         sigma_phi = noise.phase_asd * math.sqrt(sample_rate / 2.0)
-        phase = phase + trial_rng(seed, stream_offset).normal(0.0, sigma_phi, n)
+        # numpy's normal(0.0, sigma, n) is 0.0 + sigma*z, which turns -0 into +0
+        phase = phase + (0.0 + sigma_phi * standard_normals(seed, stream_offset, n))
     modulation = np.sin(phase)
     p1 = 0.5 * power_w * (1.0 + modulation)
     p2 = 0.5 * power_w * (1.0 - modulation)
     if noise.shot > 0.0:
         scale = noise.shot * math.sqrt(PHOTON_ENERGY_J * sample_rate)
-        p1 = p1 + trial_rng(seed, stream_offset + 1).standard_normal(n) * scale * np.sqrt(p1)
-        p2 = p2 + trial_rng(seed, stream_offset + 2).standard_normal(n) * scale * np.sqrt(p2)
+        p1 = p1 + standard_normals(seed, stream_offset + 1, n) * scale * np.sqrt(p1)
+        p2 = p2 + standard_normals(seed, stream_offset + 2, n) * scale * np.sqrt(p2)
     return DetectorRecord(sample_rate, p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT)
 
 
@@ -236,11 +244,12 @@ def demodulate_phase(record: DetectorRecord) -> PhaseSeries:
 def fit_oam_series(measurements: Sequence[tuple[int, float]]) -> FitReport:
     """Ordinary least squares of mean phase against twice the OAM value.
 
-    Needs at least three distinct OAM values and finite phases; returns the
-    slope (the rotation angle), the intercept (the systematic phase offset),
-    and the coefficient of determination.
+    Needs at least three distinct OAM values, each in ``FIT_OAM_L``, and
+    finite phases; returns the slope (the rotation angle), the intercept (the
+    systematic phase offset), and the coefficient of determination.
     """
-    l_values = [l for l, _ in measurements]
+    l_values = [FIT_OAM_L.check(f"the OAM value of {m!r}", m[0], ConfigError)
+                for m in measurements]
     if len(set(l_values)) < 3:
         raise ConfigError("need >= 3 distinct OAM values for the fit")
     x = 2.0 * np.asarray(l_values)

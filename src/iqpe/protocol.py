@@ -13,11 +13,14 @@ Meter conventions (fixed): basis order (|H>, |V>); the detection states are
 
 Randomness: every stochastic entry point takes an explicit seed, and stream
 i draws from the counter-based Philox4x64-10 keyed (seed, i), so results are
-bit-reproducible and independent of evaluation order.  The emulator's noise
-draws through ``trial_rng``'s numpy Generator.  The Monte Carlo evaluates
-Philox for a block of streams at once and feeds numpy's BTPE sampler,
-vectorized over the trials still drawing, so its counts are those of
-``trial_rng(seed, i).binomial`` without loading ``numpy.random``.  numpy
+bit-reproducible and independent of evaluation order.  ``trial_rng`` is that
+generator as numpy builds it; no command calls it.  ``_philox`` evaluates the
+same words on uint64 arrays, and two samplers mirror numpy's C code on them,
+so nothing loads ``numpy.random``.  The emulator's noise is
+``trial_rng(seed, i).standard_normal``, drawn by ``ziggurat.standard_normals``
+over many buffers of one stream.  The Monte Carlo's counts are
+``trial_rng(seed, i).binomial``, drawn by numpy's BTPE sampler vectorized
+over the trials still drawing, one buffer of many streams at a time.  numpy
 takes BTPE when the less likely channel's mean p*nu exceeds 30; the
 minority-channel rule admits only p >= ``minority_floor``, and
 nu*minority_floor > 53*ln(2) - (53*ln(2))^2/(2*nu) >= 36.07 at every nu in
@@ -78,27 +81,45 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a*b, from 32-bit halves."""
+    """High and low words of the 128-bit products a*b: the high word from
+    32-bit halves, summed in place so that few block-sized temporaries live
+    at once, and the low word as uint64 arithmetic wraps it."""
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
-    lo_lo, hi_lo = a_lo * b_lo, a_hi * b_lo
-    cross = (lo_lo >> 32) + (hi_lo & 0xFFFFFFFF) + a_lo * b_hi
-    return a_hi * b_hi + (hi_lo >> 32) + (cross >> 32), (cross << 32) | (lo_lo & 0xFFFFFFFF)
+    cross = b & 0xFFFFFFFF
+    hi_lo = cross * a_hi
+    cross *= a_lo
+    cross >>= 32
+    cross += hi_lo & 0xFFFFFFFF
+    hi = b >> 32
+    cross += hi * a_lo
+    hi *= a_hi
+    hi_lo >>= 32
+    hi += hi_lo
+    cross >>= 32
+    hi += cross
+    return hi, np.uint64(a) * b
 
 
-def _philox_doubles(refill: int, seed: int, streams: np.ndarray) -> list[np.ndarray]:
-    """The four doubles of the ``refill``-th buffer (1, 2, ...) of each stream's
-    ``trial_rng(seed, stream)``: Philox4x64-10 of the counter (refill, 0, 0, 0)
-    under the key (seed, stream), each word w read as (w >> 11) * 2^-53."""
-    zeros = np.zeros_like(streams)
-    ctr = [np.full_like(streams, refill), zeros, zeros, zeros]
+def _philox(counters, seed: int, streams) -> list[np.ndarray]:
+    """The four words of buffer c (1, 2, ...) of ``trial_rng(seed, stream)``:
+    Philox4x64-10 of the counter (c, 0, 0, 0) under the key (seed, stream),
+    for uint64 ``counters`` and ``streams`` broadcast against each other."""
+    zeros = np.zeros(np.broadcast(counters, streams).shape, dtype=np.uint64)
+    ctr = [counters + zeros, zeros, zeros, zeros]
     for n in range(10):
-        key_0 = np.uint64((seed + n * _PHILOX_W[0]) & _UINT64_MASK)
-        key_1 = streams + np.uint64(n * _PHILOX_W[1] & _UINT64_MASK)
         hi_0, lo_0 = _mulhilo(_PHILOX_M[0], ctr[0])
         hi_1, lo_1 = _mulhilo(_PHILOX_M[1], ctr[2])
-        ctr = [hi_1 ^ ctr[1] ^ key_0, lo_1, hi_0 ^ ctr[3] ^ key_1, lo_0]
-    return [(word >> 11) * 2.0**-53 for word in ctr]
+        hi_1 ^= ctr[1]
+        hi_1 ^= np.uint64((seed + n * _PHILOX_W[0]) & _UINT64_MASK)
+        hi_0 ^= ctr[3]
+        hi_0 ^= streams + np.uint64(n * _PHILOX_W[1] & _UINT64_MASK)
+        ctr = [hi_1, lo_1, hi_0, lo_0]
+    return ctr
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's ``next_double`` of each word w: (w >> 11) * 2^-53."""
+    return (words >> 11) * 2.0**-53
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -171,7 +192,7 @@ def _btpe_counts(seed: int, streams: np.ndarray, nu: int, p: float) -> np.ndarra
                 (u, v), spare = spare, []
             else:
                 refill += 1
-                u, v, *spare = _philox_doubles(refill, seed, streams[todo])
+                u, v, *spare = map(_doubles, _philox(np.uint64(refill), seed, streams[todo]))
             u = u * p4
             # step 10: the triangle is accepted at once
             done = u <= p1
@@ -350,4 +371,9 @@ def monte_carlo_precision(
             if n_l not in by_count:
                 by_count[n_l] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
         estimates[start:start + streams.size] = [by_count[n_l] for n_l in counts]
-    return float(np.mean(estimates)), float(np.std(estimates, ddof=1))
+    # np.mean and np.std(ddof=1) as numpy computes them, with the deviations
+    # squared in place of the estimates instead of in a second trials-long array
+    mean = np.add.reduce(estimates) / trials
+    estimates -= mean
+    estimates *= estimates
+    return float(mean), float(np.sqrt(np.add.reduce(estimates) / (trials - 1)))

@@ -44,6 +44,9 @@ class Range:
     integer: bool = False
 
     def holds(self, value) -> bool:
+        # True is an int to Python, but no range takes a truth value as a number
+        if isinstance(value, (bool, np.bool_)):
+            return False
         if self.integer and not isinstance(value, (int, np.integer)):
             return False
         # every comparison with NaN is false, so NaN never holds

@@ -1,5 +1,6 @@
 """CLI surface: artifacts, schemas, determinism, exit codes."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -504,25 +505,37 @@ def test_kerr_loads_no_scipy(tmp_path):
 )
 def test_command_without_random_draws_loads_no_openssl(tmp_path, argv):
     # artifact checksums use CPython's own SHA-256; hashlib would load
-    # OpenSSL's _hashlib, a few MB of peak RSS, into every run
+    # OpenSSL's _hashlib, a few MB of peak RSS, into every run.  Runs that
+    # draw no noise do not even compile the normal sampler
     argv = argv + ["--out", str(tmp_path / "out")]
     code = (
         f"import sys, iqpe.cli; assert iqpe.cli.main({argv!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))"
+        "print(sorted(m for m in sys.modules "
+        "if m in ('hashlib', '_hashlib', 'iqpe.ziggurat')))"
     )
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 
-def test_rotation_sim_loads_no_numpy_random(tmp_path):
-    # the Monte Carlo draws through protocol's own Philox and binomial
-    # kernel; numpy.random would load OpenSSL's _hashlib (secrets -> hmac)
-    argv = ["rotation-sim", "--l", "150", "--alpha-deg", "0.0005", "--nu", "1000000",
-            "--trials", "5000", "--seed", "3", "--out", str(tmp_path / "sim")]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rotation-sim", "--l", "150", "--alpha-deg", "0.0005", "--nu", "1000000",
+         "--trials", "5000", "--seed", "3"],
+        ["experiment", "--config", str(REPO / SPECTRUM_CONFIG)],
+    ],
+    ids=["rotation-sim", "experiment-spectrum"],
+)
+def test_command_with_random_draws_loads_no_numpy_random(tmp_path, argv):
+    # the Monte Carlo's counts and the emulator's noise come from protocol's
+    # own Philox and samplers; numpy.random would load OpenSSL's _hashlib
+    # (secrets -> hmac -> hashlib)
+    argv = argv + ["--out", str(tmp_path / "out")]
     code = (
         f"import sys, iqpe.cli; assert iqpe.cli.main({argv!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m in ('numpy.random', '_hashlib')))"
+        "print(sorted(m for m in sys.modules "
+        "if m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')))"
     )
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
@@ -545,6 +558,21 @@ def test_checksum_is_sha256(size):
     # lengths around SHA-256's 64-byte block and its 8-byte length field
     data = random.Random(size).randbytes(size)
     assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_package_data_ships_every_data_file():
+    # package-data patterns are globs relative to the package, as setuptools
+    # reads them: a file under data/ or schemas/ that none matches, such as
+    # the ziggurat tables, would be missing from a wheel
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[tool.setuptools.package-data]", 1)[1].split("\n[", 1)[0]
+    patterns = ast.literal_eval(re.search(r"^iqpe\s*=\s*(\[.*?\])", section, re.M | re.S)[1])
+    package = REPO / "src" / "iqpe"
+    shipped = {path for pattern in patterns for path in package.glob(pattern)}
+    files = {path for folder in ("data", "schemas") for path in (package / folder).rglob("*")
+             if path.is_file()}
+    assert package / "data" / "ziggurat_tables.txt" in files
+    assert sorted(map(str, files - shipped)) == []
 
 
 def test_console_script_runs(tmp_path):
@@ -1186,7 +1214,7 @@ def cli_call(draw):
                 "--seed", str(seed)]
         return argv, None
     past = draw(st.booleans())
-    ls = _ranged(cli._TABLE_L, st.integers(-8, 8), past and draw(st.booleans()))
+    ls = _ranged(emulator.FIT_OAM_L, st.integers(-8, 8), past and draw(st.booleans()))
     phases = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
     phases = st.sampled_from(_past_ends(FINITE)) if past and draw(st.booleans()) else phases
     rows = draw(st.lists(st.tuples(ls, phases), min_size=3, max_size=6, unique_by=lambda r: r[0]))

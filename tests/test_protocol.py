@@ -479,6 +479,19 @@ def test_monte_carlo_memory_grows_with_the_block_not_the_trials():
     assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + 2**19
 
 
+def test_monte_carlo_holds_one_estimate_per_trial():
+    # TRIALS budgets one 8-byte estimate per trial: the spread is squared in
+    # place, where np.std held a second trials-long array (3.6 MB traced at 200k)
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        monte_carlo_precision(RotationProtocol(150), 1e-5, 10**6, trials, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + 2**19
+
+
 def test_trials_top_leaves_a_minority_interval():
     # trials * (1/2)^nu must stay under 2^-53 at the top of TRIALS, or the
     # minority-channel refusal has no phase to offer and prints lo > hi

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqpe import emulator, protocol, scenarios
 from iqpe.statekit import (
+    FINITE,
     ROUNDING_FACTOR,
     ContractViolation,
     HermitianOperator,
     PureState,
+    Range,
     UnitaryMatrix,
     apply_unitary,
     check_rounding,
@@ -269,3 +272,23 @@ def test_expm_group_law(seed, a, b):
     op = random_hermitian(rng, 4)
     prod = expm_herm_generator(op, a).entries @ expm_herm_generator(op, b).entries
     assert np.max(np.abs(prod - expm_herm_generator(op, a + b).entries)) < 1e-9
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_range_refuses_truth_values(value):
+    # True is an int to Python: an integer range once took it as 1
+    for rule in (Range(0, 1, integer=True), Range(0, 1), FINITE):
+        assert not rule.holds(value)
+    with pytest.raises(ContractViolation, match=f"must be an integer in \\[0, 1\\], got {value}"):
+        Range(0, 1, integer=True).check("n", value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scenarios.rotation_qfi_map(True, 2),
+    lambda: protocol.RotationProtocol(True, 0.0),
+    lambda: emulator.fit_oam_series([(True, 0.1), (2, 0.2), (3, 0.3)]),
+], ids=["rotation_qfi_map", "RotationProtocol", "fit_oam_series"])
+def test_library_calls_refuse_a_truth_value_as_an_integer(call):
+    # each ran as if given 1: an order-1 map, oam_l=True, a fit with l = 1
+    with pytest.raises(ValueError, match="must be an integer .*, got True"):
+        call()
