@@ -75,9 +75,14 @@ MIN_BAND_BINS = 2 * PEAK_EXCLUSION_BINS + 2
 
 # A run holds about 25 float arrays per sample: every record's channels, phase
 # and angle, and while one record is made, demodulated, transformed and
-# written, its temporaries and CSVs.  A 256 MiB budget ends a run's records
-# at 1,342,177 samples in all.
-MAX_RUN_SAMPLES = 2**28 // (25 * 8)
+# written, its temporaries and CSVs.  A 256 MiB budget counted at 27 arrays,
+# two for the host's margin, ends a run's records at 1,242,756 samples in
+# all.  The costliest record below that top is a prime length, which the FFT
+# takes by Bluestein's algorithm: fresh runs on Linux with numpy 2.4.6 peaked
+# 240 MiB above a bare `import iqpe.cli` for a spectrum at 1,242,739 samples,
+# 167 MiB at the top itself and 60 MiB for a six-l fit at the top; counted at
+# 25 arrays, the top was 1,342,177, a prime, and a spectrum there took 259 MiB.
+MAX_RUN_SAMPLES = 2**28 // (27 * 8)
 
 
 class ConfigError(ValueError):

@@ -8,8 +8,10 @@ Three encodings are covered, each with its characteristic operator:
   (orbital-angular-momentum operator).
 
 The polarization sphere is the order-1 modal sphere, which S1 = 2 J1 reads
-along x as Lz = 2 J3 reads the order-N one along z: one coherent-state
-engine serves both sphere maps.
+along x as Lz = 2 J3 reads the order-N one along z.  Every state of either
+sphere map is an SU(2) coherent state, so both maps are the same two closed
+forms, written straight into their records; the engine that builds the
+states' weights is the tests' oracle, and no command runs it.
 
 Conventions fixed here and inherited everywhere else:
 
@@ -66,8 +68,9 @@ NBAR = Range(0.0, MAX_NBAR)
 # Points per sphere-map grid axis (theta; phi has twice as many).  At the top,
 # a map's peak RSS stays within 256 MiB of a bare `import iqpe.cli` (34 MiB):
 # fresh `python -m iqpe.cli qfi-map --resolution 1024` runs on Linux, numpy
-# 2.4.6 and one BLAS thread, peaked 149 MiB above it at order 0, 221 MiB at
-# order 300 and 241 MiB for birefringence, whose 124 MB map.csv is held once.
+# 2.4.6 and one BLAS thread, peaked 149 MiB above it at order 0, 217 MiB at
+# order 300 (a 159 MB map.csv) and 183 MiB for birefringence (124 MB), each
+# holding its 64 MiB of records, filled in place, and its CSV once.
 RESOLUTION = Range(2, 1024, integer=True)
 
 # lg_field rejects grids whose boundary intensity exceeds this fraction of
@@ -209,7 +212,9 @@ def _cross_check(label, thetas, phis, closed, engine, scale):
     ``closed`` and ``engine`` broadcast together to ``(len(thetas),
     len(phis))`` or to ``(len(thetas), 1)``, one value per theta for every
     phi.  The largest gap (for a value per theta, at the first phi), or a
-    non-finite engine value, is held to the rounding of ``scale``.
+    non-finite engine value, is held to the rounding of ``scale``.  No map
+    calls it: the tests hold the maps to their engine through it, and
+    ``bench/tracer.py`` traces it by this name.
     """
     closed, engine = np.broadcast_arrays(closed, engine)
     gap = np.abs(closed - engine)
@@ -219,71 +224,48 @@ def _cross_check(label, thetas, phis, closed, engine, scale):
                    f"phi={phis[worst[1]]}", gap[worst], scale)
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0, ..., x^n of every entry of ``x`` as an ``(n + 1, x.size)`` table, by
-    repeated multiplication: a ``**`` per entry calls libm's pow, far slower."""
-    x = x.reshape(-1)
-    table = np.empty((n + 1, x.size))
-    table[0] = 1.0
-    for j in range(1, n + 1):
-        np.multiply(table[j - 1], x, out=table[j])
-    return table
-
-
-def _coherent_engine(order_N: int, cos_half: np.ndarray, sin_half: np.ndarray):
-    """Engine QFIs of order-N SU(2) coherent states, two arrays shaped like
-    ``cos_half`` and ``sin_half``, the moduli |cos(beta/2)| and |sin(beta/2)|
-    at each point's angle beta from the axis.  On the generator's k-th
-    eigenvector, eigenvalue N - 2k, a state's amplitude has modulus
-    sqrt(C(N, k)) |cos(beta/2)|^(N-k) |sin(beta/2)|^k (Arecchi, Courtens,
-    Gilmore & Thomas, PRA 6, 2211 (1972)), and the QFIs read only the
-    weights.  Each row's norm is held to the rounding of N + 1."""
-    columns = _powers(sin_half, order_N)  # sin^k in column k
-    columns *= _powers(cos_half, order_N)[::-1]
-    columns *= np.array([[math.sqrt(math.comb(order_N, k))] for k in range(order_N + 1)])
-    rows = columns.T  # a row per point, each column contiguous
-    norms = np.sqrt(np.einsum("pk,pk->p", rows, rows))
-    check_rounding("coherent state norm", np.max(np.abs(norms - 1.0)), order_N + 1)
-    engine_s, engine_i = qfi_batch(rows, order_N - 2.0 * np.arange(order_N + 1))
-    return engine_s.reshape(cos_half.shape), engine_i.reshape(cos_half.shape)
-
-
-def _sphere_map(label, order_N, thetas, phis, along_sq, across_sq, cos_half, sin_half):
-    """The ``SPHERE_MAP_DTYPE`` records, theta-major, of an order-N coherent
-    state read along an axis a.  With (a.n)^2 = ``along_sq`` and
-    1 - (a.n)^2 = ``across_sq``, arrays of shape ``(len(thetas), len(phis))``
-    or ``(len(thetas), 1)``, the closed forms are 4 N (1 - (a.n)^2) and
-    4 N^2 (a.n)^2 + 4 N (1 - (a.n)^2), each cross-checked against
-    ``_coherent_engine`` to the rounding of d * 4 max|lam|^2 = 4 N^2 (N + 1)."""
-    n = float(order_N)
-    engine_s, engine_i = _coherent_engine(order_N, cos_half, sin_half)
-    closed_s = 4.0 * n * across_sq
-    closed_i = 4.0 * n * n * along_sq + closed_s
-    scale = 4.0 * n * n * (n + 1.0)
-    _cross_check(f"{label} standard QFI", thetas, phis, closed_s, engine_s, scale)
-    _cross_check(f"{label} switched QFI", thetas, phis, closed_i, engine_i, scale)
+def _sphere_records(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """``SPHERE_MAP_DTYPE`` records of a (theta, phi) grid, shape
+    ``(len(thetas), len(phis))``, with only the angles filled in."""
     records = np.empty((thetas.size, phis.size), dtype=SPHERE_MAP_DTYPE)
     records["theta"] = thetas[:, None]
     records["phi"] = phis
-    records["qfi_sqpe"] = closed_s
-    records["qfi_iqpe"] = closed_i
+    return records
+
+
+def _sphere_map(order_N: int, records: np.ndarray) -> np.ndarray:
+    """QFIs of order-N SU(2) coherent states read along an axis a, in place.
+
+    ``records`` come from ``_sphere_records`` holding 1 - (a.n)^2 in
+    ``qfi_sqpe`` and (a.n)^2 in ``qfi_iqpe``, and leave, flattened
+    theta-major, holding the closed forms 4 N (1 - (a.n)^2) and
+    4 N^2 (a.n)^2 + 4 N (1 - (a.n)^2): four times the variance and the
+    second moment of the generator 2 J.a, whose eigenvalue N - 2k has
+    weight C(N, k) cos^(2(N-k))(beta/2) sin^(2k)(beta/2) at the angle beta
+    from a (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211 (1972)).
+    """
+    n = float(order_N)
+    across_sq, along_sq = records["qfi_sqpe"], records["qfi_iqpe"]
+    across_sq *= 4.0 * n
+    along_sq *= 4.0 * n * n
+    along_sq += across_sq
     return records.reshape(-1)
 
 
 def birefringence_qfi_map(grid_resolution: int) -> np.ndarray:
     """QFI of the birefringent phase over the polarization sphere.
 
-    The order-1 sphere read along a = x: a.n = <S1> = sin(theta) cos(phi),
-    and the half-angle moduli are sqrt((1 +/- a.n)/2).  Closed forms: 4 - 4 sin^2(theta) cos^2(phi) for the standard procedure
+    The order-1 sphere read along a = x: a.n = <S1> = sin(theta) cos(phi).
+    Closed forms: 4 - 4 sin^2(theta) cos^2(phi) for the standard procedure
     and a flat 4 for the switched one.  Returns ``SPHERE_MAP_DTYPE``
     records, theta-major.
     """
     thetas, phis = _grid_axes(grid_resolution)
-    along_sq = _sin_sq(thetas)[:, None] * np.array([math.cos(phi) ** 2 for phi in phis])
-    along = np.multiply.outer([math.sin(theta) for theta in thetas],
-                              [math.cos(phi) for phi in phis])
-    return _sphere_map("birefringence", 1, thetas, phis, along_sq, 1.0 - along_sq,
-                       np.sqrt((1.0 + along) / 2.0), np.sqrt((1.0 - along) / 2.0))
+    records = _sphere_records(thetas, phis)
+    along_sq = records["qfi_iqpe"]
+    np.multiply.outer(_sin_sq(thetas), [math.cos(phi) ** 2 for phi in phis], out=along_sq)
+    np.subtract(1.0, along_sq, out=records["qfi_sqpe"])
+    return _sphere_map(1, records)
 
 
 def modal_ladder(order_N: int) -> ModalLadder:
@@ -308,11 +290,11 @@ def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
     """
     LADDER_ORDER.check("order", order_N)
     thetas, phis = _grid_axes(grid_resolution)
+    records = _sphere_records(thetas, phis)
     sin_sq = _sin_sq(thetas)[:, None]
-    # math per theta, as in _sin_sq
-    cos_half = np.array([abs(math.cos(theta / 2.0)) for theta in thetas])[:, None]
-    sin_half = np.array([abs(math.sin(theta / 2.0)) for theta in thetas])[:, None]
-    return _sphere_map("rotation", order_N, thetas, phis, 1.0 - sin_sq, sin_sq, cos_half, sin_half)
+    records["qfi_sqpe"] = sin_sq
+    np.subtract(1.0, sin_sq, out=records["qfi_iqpe"])
+    return _sphere_map(order_N, records)
 
 
 def kerr_truncation(nbar: float) -> int:

@@ -17,6 +17,9 @@ Each one reaches a quantity of the package by a second, independent road:
   birefringence map's dense route: the Pauli matrices, the state
   cos(theta/2)|R> + sin(theta/2) e^{i phi}|L> and the QFIs of a block of
   states from one eigensolve of a dense generator.
+* ``coherent_engine`` is the sphere maps' engine: the QFIs of SU(2)
+  coherent states from their weights on the generator's eigenvectors, which
+  the maps' closed forms are held to.
 
 Tensor-product convention: the first factor is the slow (outer) index.
 Joint meter+probe objects are built as ``tensor(meter, probe)``, so a block
@@ -281,3 +284,37 @@ def qfi_dense(
         )
     eigenvalues, vectors = herm_eig(op)
     return qfi_batch(psi @ vectors.entries.conj(), eigenvalues, evolution_time)
+
+
+# ---------------------------------------------------------------------------
+# the sphere maps' coherent-state engine
+# ---------------------------------------------------------------------------
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0, ..., x^n of every entry of ``x`` as an ``(n + 1, x.size)`` table, by
+    repeated multiplication: a ``**`` per entry calls libm's pow, far slower."""
+    x = x.reshape(-1)
+    table = np.empty((n + 1, x.size))
+    table[0] = 1.0
+    for j in range(1, n + 1):
+        np.multiply(table[j - 1], x, out=table[j])
+    return table
+
+
+def coherent_engine(order_N: int, cos_half: np.ndarray, sin_half: np.ndarray):
+    """Engine QFIs of order-N SU(2) coherent states, two arrays shaped like
+    ``cos_half`` and ``sin_half``, the moduli |cos(beta/2)| and |sin(beta/2)|
+    at each point's angle beta from the axis.  On the generator's k-th
+    eigenvector, eigenvalue N - 2k, a state's amplitude has modulus
+    sqrt(C(N, k)) |cos(beta/2)|^(N-k) |sin(beta/2)|^k (Arecchi, Courtens,
+    Gilmore & Thomas, PRA 6, 2211 (1972)), and the QFIs read only the
+    weights.  Each row's norm is held to the rounding of N + 1."""
+    columns = _powers(sin_half, order_N)  # sin^k in column k
+    columns *= _powers(cos_half, order_N)[::-1]
+    columns *= np.array([[math.sqrt(math.comb(order_N, k))] for k in range(order_N + 1)])
+    rows = columns.T  # a row per point, each column contiguous
+    norms = np.sqrt(np.einsum("pk,pk->p", rows, rows))
+    check_rounding("coherent state norm", np.max(np.abs(norms - 1.0)), order_N + 1)
+    engine_s, engine_i = qfi_batch(rows, order_N - 2.0 * np.arange(order_N + 1))
+    return engine_s.reshape(cos_half.shape), engine_i.reshape(cos_half.shape)

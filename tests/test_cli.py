@@ -87,43 +87,17 @@ def test_order_zero_map_counts_its_dead_zone(tmp_path):
     jsonschema.validate(summary, cli._schema("qfi_map_summary.v2.json"))
 
 
-def test_qfi_map_engine_disagreement_is_numeric_error(tmp_path, monkeypatch, capsys):
-    real = scenarios._coherent_engine
+@pytest.mark.parametrize("scenario", [["birefringence"], ["rotation", "--order-n", "300"]])
+def test_qfi_map_runs_its_closed_forms_alone(tmp_path, monkeypatch, scenario):
+    # the coherent-state engine, the map's only road to qfi_batch, is the
+    # tests' oracle: no map command calls the kernel
+    def refuse(*args):
+        raise AssertionError("qfi-map called qfi_batch")
 
-    def perturbed(order_N, cos_half, sin_half):
-        engine_s, engine_i = real(order_N, cos_half, sin_half)
-        engine_s[1] += 1.0
-        return engine_s, engine_i
-
-    monkeypatch.setattr(scenarios, "_coherent_engine", perturbed)
-    code = main(["qfi-map", "--scenario", "rotation", "--order-n", "4", "--resolution", "4",
-                 "--out", str(tmp_path / "map")])
-    assert code == 2
-    err = capsys.readouterr().err
-    # one engine value per theta holds for every phi; the first phi is named
-    assert f"theta={math.pi / 3.0}, phi=0.0" in err
-
-
-def test_birefringence_engine_disagreement_names_its_point(tmp_path, monkeypatch, capsys):
-    # the birefringence engine holds a value per grid point, so the worst
-    # point's own phi is named, not the first
-    real = scenarios._coherent_engine
-
-    def perturbed(order_N, cos_half, sin_half):
-        engine_s, engine_i = real(order_N, cos_half, sin_half)
-        engine_s[2, 5] += 1.0
-        return engine_s, engine_i
-
-    monkeypatch.setattr(scenarios, "_coherent_engine", perturbed)
-    code = main(["qfi-map", "--scenario", "birefringence", "--resolution", "4",
-                 "--out", str(tmp_path / "map")])
-    assert code == 2
-    err = capsys.readouterr().err
-    thetas = np.linspace(0.0, math.pi, 4)
-    phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    assert "birefringence standard QFI" in err
-    assert f"theta={thetas[2]}, phi={phis[5]}" in err
-    assert phis[5] != 0.0
+    monkeypatch.setattr(scenarios, "qfi_batch", refuse)
+    out = tmp_path / "map"
+    assert main(["qfi-map", "--scenario", *scenario, "--resolution", "8", "--out", str(out)]) == 0
+    assert len((out / "map.csv").read_text().splitlines()) == 1 + 8 * 16
 
 
 def test_qfi_map_birefringence_flat(tmp_path):
@@ -1270,10 +1244,11 @@ def test_every_cli_call_keeps_the_exit_contract(call):
     # whatever a flag or a fit table holds, main() returns 0, 1 or 2, a
     # failure is one error line, and a run that succeeds writes only finite
     # numbers.  rotation-sim refuses every angle the Monte Carlo cannot draw
-    # before it draws, so it never reaches the binomial kernel's own refusal
+    # before it draws, so it never reaches the binomial kernel's own refusal,
+    # and qfi-map's maps are closed forms with no numerical contract
     argv, table = call
     code, err = _check_exit_contract(argv, "--input", table)
-    assert not (argv[0] == "rotation-sim" and code == 2), err
+    assert not (argv[0] in ("rotation-sim", "qfi-map") and code == 2), err
 
 
 # Each run-config key but mode and l, with the range emulator holds it to.

@@ -124,9 +124,9 @@ def test_order_one_engine_rows_are_polarization_weights_on_s1(theta, phi):
     # squared, are the weights of the dense state on S1's eigenvectors
     along = math.sin(theta) * math.cos(phi)
     engine_calls, dense_calls = [], []
-    with spied_qfi_batch(scenarios, engine_calls):
-        engine = scenarios._coherent_engine(1, np.array([math.sqrt((1.0 + along) / 2.0)]),
-                                            np.array([math.sqrt((1.0 - along) / 2.0)]))
+    with spied_qfi_batch(oracles, engine_calls):
+        engine = oracles.coherent_engine(1, np.array([math.sqrt((1.0 + along) / 2.0)]),
+                                         np.array([math.sqrt((1.0 - along) / 2.0)]))
     with spied_qfi_batch(oracles, dense_calls):
         dense = qfi_dense(polarization_state(SpherePoint(theta, phi)).amplitudes[None, :],
                           stokes_operators()[0])
@@ -254,8 +254,8 @@ def test_tilted_modes_match_hlg_state(order):
     blocks = []
     ladder = modal_ladder(order)
     thetas = np.array([0.0, 0.3, 1.2, math.pi / 2.0, 2.0, 3.0, math.pi])
-    with spied_qfi_batch(scenarios, blocks):
-        scenarios._coherent_engine(order, *half_angles(thetas))
+    with spied_qfi_batch(oracles, blocks):
+        oracles.coherent_engine(order, *half_angles(thetas))
     ((rows, spectrum),) = blocks
     assert rows.shape == (thetas.size, ladder.dim)
     assert np.array_equal(spectrum, ladder.oam_values())
@@ -300,8 +300,9 @@ def test_rotation_map_values():
 
 @pytest.mark.parametrize("order", [1, 4])
 def test_maps_match_numeric_engine(order):
-    # the map already cross-checks the matrix engine per point; spot-check the
-    # fully generic finite-difference route on a subsample of the 32x64 grid
+    # test_maps_meet_the_coherent_engine holds every point to the engine;
+    # spot-check the fully generic finite-difference route on a subsample of
+    # the 32x64 grid
     ladder = modal_ladder(order)
     dyn = ParameterizedDynamics(ladder.lz)
     rows = rotation_qfi_map(order, 32)
@@ -346,11 +347,11 @@ def test_variance_and_qfi_order_over_ladder_range(order, theta, phi):
     st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
 )
 def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
-    # the map's batched route (one kernel row per theta, which holds for
+    # the engine's batched route (one kernel row per theta, which holds for
     # every phi) against the per-point route at each drawn phi: hlg_state,
     # variance, second moment
     ladder = modal_ladder(order)
-    engine_s, engine_i = scenarios._coherent_engine(order, *half_angles(np.array([[theta]])))
+    engine_s, engine_i = oracles.coherent_engine(order, *half_angles(np.array([[theta]])))
     assert engine_s.shape == engine_i.shape == (1, 1)
     for p in (0.0, phi):
         probe = hlg_state(ladder, order, SpherePoint(theta, p))
@@ -362,35 +363,72 @@ def test_rotation_kernel_matches_per_point_oracle(order, theta, phi):
 
 
 def test_rotation_map_holds_no_dense_complex_ladder():
-    # the map's engine holds a few length-(N+1) vectors per theta and no
-    # (N+1)^2 array: at a fixed resolution its allocations grow linearly in N+1
-    for order in (150, scenarios.MAX_LADDER_ORDER):
+    # the map is its closed forms alone and holds no (N+1)^2 array, nor any
+    # array of N+1 levels: at a fixed resolution its allocations do not
+    # grow with N (a first call also allocates what numpy sets up once)
+    peaks = {}
+    for order in (1, 1, 150, scenarios.MAX_LADDER_ORDER):
         tracemalloc.start()
         try:
             rotation_qfi_map(order, 2)
-            _, peak = tracemalloc.get_traced_memory()
+            _, peaks[order] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 8 * (order + 1)
+    assert peaks[150] <= peaks[1] + 1024
+    assert peaks[scenarios.MAX_LADDER_ORDER] <= peaks[1] + 1024
 
 
-def test_rotation_cross_check_names_worst_point(monkeypatch):
-    thetas = np.linspace(0.0, math.pi, 5)
-    phis = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
-    real = scenarios._coherent_engine
+def test_birefringence_map_fills_its_records_in_place():
+    # the closed forms are written into the records' own fields, with no
+    # engine and no whole-grid temporary beside them: at the top resolution
+    # the map's allocations peak within 1.5 times its 64 MiB of records
+    tracemalloc.start()
+    try:
+        records = birefringence_qfi_map(scenarios.RESOLUTION.hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records.nbytes == 64 * 2**20
+    assert peak <= 1.5 * records.nbytes
 
-    def perturbed(order_N, cos_half, sin_half):
-        engine_s, engine_i = real(order_N, cos_half, sin_half)
-        engine_i[3] += 1e-3
-        return engine_s, engine_i
 
-    monkeypatch.setattr(scenarios, "_coherent_engine", perturbed)
-    with pytest.raises(ContractViolation) as info:
-        rotation_qfi_map(4, 5)
-    message = str(info.value)
-    assert "rotation switched QFI" in message
-    # one engine value per theta holds for every phi; the first phi is named
-    assert f"theta={thetas[3]}, phi={float(phis[0])}" in message
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=scenarios.MAX_LADDER_ORDER),
+    st.integers(min_value=2, max_value=40),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+)
+@example(0, 2, 0.0, 0.0)
+@example(scenarios.MAX_LADDER_ORDER, 33, math.pi / 2.0, math.pi)
+@example(scenarios.MAX_LADDER_ORDER, 2, 1e-300, 3.0)
+def test_maps_meet_the_coherent_engine(order, resolution, theta, phi):
+    # both maps' closed forms against the oracle's coherent-state engine,
+    # over the grid of a resolution and at a drawn theta and phi off it, held
+    # through _cross_check at the engine's scale, 4 N^2 (N + 1)
+    grid_thetas, grid_phis = scenarios._grid_axes(resolution)
+    thetas, phis = np.append(grid_thetas, theta), np.append(grid_phis, phi)
+    with mock.patch.object(scenarios, "_grid_axes", lambda _: (thetas, phis)):
+        rotation = rotation_qfi_map(order, resolution).reshape(thetas.size, phis.size)
+        birefringence = birefringence_qfi_map(resolution).reshape(thetas.size, phis.size)
+    for records in (rotation, birefringence):
+        assert np.array_equal(records["theta"], np.broadcast_to(thetas[:, None], records.shape))
+        assert np.array_equal(records["phi"], np.broadcast_to(phis, records.shape))
+    # rotation: the order-N sphere read along z, one engine row per theta
+    engine_s, engine_i = oracles.coherent_engine(order, *half_angles(thetas[:, None]))
+    scale = 4.0 * order**2 * (order + 1.0)
+    scenarios._cross_check("rotation standard QFI", thetas, phis, rotation["qfi_sqpe"],
+                           engine_s, scale)
+    scenarios._cross_check("rotation switched QFI", thetas, phis, rotation["qfi_iqpe"],
+                           engine_i, scale)
+    # birefringence: the order-1 sphere read along x, an engine row per point
+    along = np.multiply.outer([math.sin(t) for t in thetas], [math.cos(p) for p in phis])
+    engine_s, engine_i = oracles.coherent_engine(1, np.sqrt((1.0 + along) / 2.0),
+                                                 np.sqrt((1.0 - along) / 2.0))
+    scenarios._cross_check("birefringence standard QFI", thetas, phis,
+                           birefringence["qfi_sqpe"], engine_s, 8.0)
+    scenarios._cross_check("birefringence switched QFI", thetas, phis,
+                           birefringence["qfi_iqpe"], engine_i, 8.0)
 
 
 def test_cross_check_picks_largest_excess():
