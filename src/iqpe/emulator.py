@@ -175,61 +175,43 @@ class SpectrumReport:
     signal_peak: tuple[float, float]
 
 
-def synthesize_record(
-    l: int,
-    signal_amp_rad: float,
-    signal_freq_hz: float,
-    delta_phi: float,
-    power_w: float,
-    noise: NoiseSpec,
-    sample_rate: float,
-    duration: float,
-    seed: int,
-    stream_offset: int = 0,
-) -> DetectorRecord:
-    """Synthesize the two detector channels for a rotation-angle signal.
+def synthesize_record(cfg: RunConfig, l: int, stream_offset: int = 0) -> DetectorRecord:
+    """Synthesize the two detector channels of ``cfg``'s run at its OAM value ``l``.
 
-    The rotation angle is amp*sin(2*pi*f*t), or a constant amp at f = 0; a
-    signal above the Nyquist frequency is rejected.  Channel powers follow
-    (power/2)*(1 +/- sin(2*l*alpha(t) + delta_phi)), with phase noise added
-    on the argument and shot noise on each channel, then converted to
-    detector volts.  Noise draws use the Philox streams
-    (seed, stream_offset + {0, 1, 2}): the values of
-    ``trial_rng(seed, stream).standard_normal``, drawn by
+    ``cfg`` has passed every rule of a run, so ``l`` must only be one of its
+    OAM values.  The rotation angle is amp*sin(2*pi*f*t), or a constant amp at
+    f = 0.  Channel powers follow (power/2)*(1 +/- sin(2*l*alpha(t) +
+    delta_phi)), with phase noise added on the argument and shot noise on each
+    channel, then converted to detector volts.  Noise draws use the Philox
+    streams (seed, stream_offset + {0, 1, 2}), seed 0 for a config without
+    one: the values of ``trial_rng(seed, stream).standard_normal``, drawn by
     ``ziggurat.standard_normals`` without loading ``numpy.random``.
     """
-    _check_keys({"l": l, "signal_amp_rad": signal_amp_rad, "signal_freq_hz": signal_freq_hz,
-                 "delta_phi_rad": delta_phi, "power_w": power_w, "sample_rate": sample_rate,
-                 "duration_s": duration, "seed": seed})
-    # round(sample_rate * duration) from 1 to the budget; finite factors may overflow
-    if not 0.5 < sample_rate * duration <= MAX_RUN_SAMPLES:
-        raise ConfigError(f"'sample_rate' * 'duration_s' gives {sample_rate * duration:.6g} "
-                          f"samples, not from 1 to {MAX_RUN_SAMPLES}", ("sample_rate", "duration_s"))
-    if signal_freq_hz > 0.0 and sample_rate < 2.0 * signal_freq_hz:
-        raise ContractViolation(
-            f"sample rate {sample_rate} below Nyquist for {signal_freq_hz} Hz"
-        )
-    n = round(sample_rate * duration)
-    if signal_freq_hz == 0.0:
-        alpha = np.full(n, signal_amp_rad, dtype=float)
+    if l not in cfg.l_values:
+        raise ConfigError(f"'l' = {l!r} is not one of the run's OAM values {cfg.l_values}", ("l",))
+    rate, amp, freq, noise = cfg.sample_rate, cfg.signal_amp_rad, cfg.signal_freq_hz, cfg.noise
+    seed = cfg.seed if cfg.seed is not None else 0
+    n = round(rate * cfg.duration_s)
+    if freq == 0.0:
+        alpha = np.full(n, amp, dtype=float)
     else:
-        t = np.arange(n) / sample_rate
-        alpha = signal_amp_rad * np.sin(2.0 * math.pi * signal_freq_hz * t)
-    phase = 2.0 * l * alpha + delta_phi
+        t = np.arange(n) / rate
+        alpha = amp * np.sin(2.0 * math.pi * freq * t)
+    phase = 2.0 * l * alpha + cfg.delta_phi_rad
     if not noise.silent:
         from .ziggurat import standard_normals  # imported here: runs without noise skip it
     if noise.phase_asd > 0.0:
-        sigma_phi = noise.phase_asd * math.sqrt(sample_rate / 2.0)
+        sigma_phi = noise.phase_asd * math.sqrt(rate / 2.0)
         # numpy's normal(0.0, sigma, n) is 0.0 + sigma*z, which turns -0 into +0
         phase = phase + (0.0 + sigma_phi * standard_normals(seed, stream_offset, n))
     modulation = np.sin(phase)
-    p1 = 0.5 * power_w * (1.0 + modulation)
-    p2 = 0.5 * power_w * (1.0 - modulation)
+    p1 = 0.5 * cfg.power_w * (1.0 + modulation)
+    p2 = 0.5 * cfg.power_w * (1.0 - modulation)
     if noise.shot > 0.0:
-        scale = noise.shot * math.sqrt(PHOTON_ENERGY_J * sample_rate)
+        scale = noise.shot * math.sqrt(PHOTON_ENERGY_J * rate)
         p1 = p1 + standard_normals(seed, stream_offset + 1, n) * scale * np.sqrt(p1)
         p2 = p2 + standard_normals(seed, stream_offset + 2, n) * scale * np.sqrt(p2)
-    return DetectorRecord(sample_rate, p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT)
+    return DetectorRecord(rate, p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT)
 
 
 def demodulate_phase(record: DetectorRecord) -> PhaseSeries:
@@ -246,12 +228,45 @@ def demodulate_phase(record: DetectorRecord) -> PhaseSeries:
     return PhaseSeries(phi, flagged)
 
 
+def _unfold(l_values: Sequence[int], y: np.ndarray) -> None:
+    """Move each arcsin readout ``y[i]`` in place to its branch (phi or pi - phi,
+    plus 2*pi*k) nearest to the line through the readouts of lower |l|, taken
+    as read until that line spans two OAM values; ``ContractViolation`` naming
+    the l when the other branch is no farther from the line than the line's
+    prediction error."""
+    n = mean_x = mean_y = c_xx = c_xy = c_yy = 0.0  # Welford's running co-moments
+    for i in sorted(range(len(l_values)), key=lambda i: abs(l_values[i])):
+        l, x, phi = l_values[i], 2.0 * l_values[i], float(y[i])
+        if c_xx > 0.0:
+            slope = c_xy / c_xx
+            guess = mean_y + slope * (x - mean_x)
+            # the prediction's standard error; a line through two points has none
+            variance = max(c_yy - slope * c_xy, 0.0) / (n - 2.0) if n > 2.0 else 0.0
+            error = math.sqrt(variance * (1.0 + 1.0 / n + (x - mean_x) ** 2 / c_xx))
+            near, far = sorted((b + 2.0 * math.pi * round((guess - b) / (2.0 * math.pi))
+                                for b in (phi, math.pi - phi)), key=lambda b: abs(b - guess))
+            if abs(far - guess) - abs(near - guess) <= error:
+                raise ContractViolation(
+                    f"the phase {phi!r} at l = {l} lies on the arcsin fold: its branches "
+                    f"{near!r} and {far!r} lie equally near the line through the lower l, "
+                    f"to within its prediction error {error:.3g} rad")
+            if near != phi:
+                y[i] = phi = near
+        n += 1.0
+        dx, dy = x - mean_x, phi - mean_y
+        mean_x, mean_y = mean_x + dx / n, mean_y + dy / n
+        c_xx += dx * (x - mean_x)
+        c_xy, c_yy = c_xy + dx * (phi - mean_y), c_yy + dy * (phi - mean_y)
+
+
 def fit_oam_series(measurements: Sequence[tuple[int, float]]) -> FitReport:
     """Ordinary least squares of mean phase against twice the OAM value.
 
     Needs at least three distinct OAM values, each in ``FIT_OAM_L``, and
     finite phases; returns the slope (the rotation angle), the intercept (the
-    systematic phase offset), and the coefficient of determination.
+    systematic phase offset), and the coefficient of determination.  Phases
+    that all lie in [-pi/2, pi/2] are arcsin readouts, and ``_unfold`` moves
+    each past the fold to its branch first; any other table is fitted as given.
     """
     l_values = [FIT_OAM_L.check(f"the OAM value of {m!r}", m[0], ConfigError)
                 for m in measurements]
@@ -260,6 +275,8 @@ def fit_oam_series(measurements: Sequence[tuple[int, float]]) -> FitReport:
     x = 2.0 * np.asarray(l_values)
     y = np.asarray([FINITE.check(f"the phase of {m!r}", m[1], ConfigError) for m in measurements],
                    dtype=float)
+    if np.all(np.abs(y) <= math.pi / 2.0):
+        _unfold(l_values, y)
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))
     dx = x - x_mean
@@ -431,9 +448,12 @@ class RunConfig:
             require(bins >= MIN_BAND_BINS, f"the band covers {bins} bins of the spectrum, "
                     f"which takes at least {MIN_BAND_BINS}", "band_lo_hz", "band_hi_hz",
                     "duration_s")
-            # a sinusoid's alpha sweeps [-|A|, |A|], a constant one is A
-            l, amp, offset = ls[0], self.signal_amp_rad, self.delta_phi_rad
-            alphas = (-abs(amp), abs(amp)) if self.signal_freq_hz > 0.0 else (amp,)
+        # a sinusoid's alpha sweeps [-|A|, |A|], a constant one is A.  A spectrum
+        # reads its one l below the fold, and a fit its two lowest, which
+        # fit_oam_series takes as read to place the phases of the others
+        amp, offset = self.signal_amp_rad, self.delta_phi_rad
+        alphas = (-abs(amp), abs(amp)) if self.signal_freq_hz > 0.0 else (amp,)
+        for l in sorted(ls)[:2]:
             phases = [2.0 * l * alpha + offset for alpha in alphas]
             require(all(map(FOLD.holds, phases)), f"the phase 2*l*alpha + delta_phi reaches "
                     f"{max(map(abs, phases))!r}, not below pi/2, so 'signal_amp_rad' ({amp}) "
@@ -468,8 +488,8 @@ def _oam_list(raw: str) -> tuple[int, ...]:
 _REQUIRED = object()
 
 # Every run-config key: its cast from text, its default (_REQUIRED: no
-# default) and the range that RunConfig, NoiseSpec and synthesize_record hold
-# it to (for l, each OAM value's: a fit may take l = 0).
+# default) and the range that RunConfig and NoiseSpec hold it to (for l, each
+# OAM value's: a fit may take l = 0).
 _CONFIG_TABLE = {
     "mode": (str, _REQUIRED),
     "l": (_oam_list, _REQUIRED, Range(0, OAM_L.hi, integer=True)),
@@ -550,18 +570,7 @@ class ChannelRun(NamedTuple):
 
 
 def _run_single(cfg: RunConfig, l: int, stream_offset: int) -> ChannelRun:
-    record = synthesize_record(
-        l=l,
-        signal_amp_rad=cfg.signal_amp_rad,
-        signal_freq_hz=cfg.signal_freq_hz,
-        delta_phi=cfg.delta_phi_rad,
-        power_w=cfg.power_w,
-        noise=cfg.noise,
-        sample_rate=cfg.sample_rate,
-        duration=cfg.duration_s,
-        seed=cfg.seed if cfg.seed is not None else 0,
-        stream_offset=stream_offset,
-    )
+    record = synthesize_record(cfg, l, stream_offset)
     phi, flagged = demodulate_phase(record)
     if flagged.size:
         raise ContractViolation(

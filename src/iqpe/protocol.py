@@ -54,7 +54,9 @@ OAM_L = Range(1, 2**53, integer=True)
 DELTA_PHI = Range(-math.pi, math.pi, "(]")
 # Photons per trial; the most is the top of the binomial kernel's int64 domain.
 NU = Range(1000, 2**63 - 1, integer=True)
-# The Monte Carlo holds one 8-byte estimate per trial: 80 MB at the top.
+# The Monte Carlo holds one 8-byte estimate per trial: 80 MB at the top, where a
+# fresh `rotation-sim --nu 1000` stays within 96 MiB of a bare `import iqpe.cli`
+# (77.7 MiB above it, in 12 s, on Linux, numpy 2.4.6, one BLAS thread).
 TRIALS = Range(100, 10**7, integer=True)
 # One Philox key word: a larger seed would draw the streams of a smaller one.
 SEED = Range(0, 2**64 - 1, integer=True)

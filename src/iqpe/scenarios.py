@@ -61,7 +61,8 @@ MAX_LADDER_ORDER = 300
 LADDER_ORDER = Range(0, MAX_LADDER_ORDER, integer=True)
 
 # Largest mean photon number of a coherent probe: its Fock space then holds
-# about a million levels.
+# about a million levels.  A fresh `kerr --nbar 1e6` stays within 96 MiB of a
+# bare `import iqpe.cli` (77.7 MiB above it on Linux, numpy 2.4.6, one BLAS thread).
 MAX_NBAR = 1e6
 NBAR = Range(0.0, MAX_NBAR)
 

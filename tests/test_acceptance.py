@@ -214,9 +214,10 @@ def test_criterion_7_fit_reproduction():
 def test_criterion_8_spectrum_reproduction():
     start = time.perf_counter()
     marker = em.pzt_rotation_amplitude(12e-3, 22e-9, 10e-3)
-    record = em.synthesize_record(
-        150, marker, 20e3, 0.0, 1e-3, em.NoiseSpec(), 60e3, 0.1, seed=0
-    )
+    # the shipped geometry without noise: 20 kHz, 1 mW, 60 kSa/s for 0.1 s, l = 150
+    shipped = em.parse_run_config("configs/spectrum_l150.cfg")
+    silent = dataclasses.replace(shipped, noise=em.NoiseSpec(), signal_amp_rad=marker)
+    record = em.synthesize_record(silent, 150)
     phi, _ = em.demodulate_phase(record)
     report = em.amplitude_spectrum(phi / 300.0, 60e3, (18e3, 28e3))
     peak_ok = (
@@ -225,7 +226,7 @@ def test_criterion_8_spectrum_reproduction():
     )
     noise = em.calibrated_noise()
     scan = dataclasses.replace(
-        em.parse_run_config("configs/spectrum_l150.cfg"),
+        shipped,
         noise=noise,
         seed=20260810,
         signal_amp_rad=marker,

@@ -346,6 +346,24 @@ def test_fit_subcommand(tmp_path):
     assert payload["n_points"] == 4
 
 
+def test_fit_subcommand_chooses_the_arcsin_branch(tmp_path, capsys):
+    # a table of arcsin readouts, as an experiment's phi_means: l = 20 and 30
+    # read pi - 1.34 and pi - 2.0, and fit unfolds them as experiment does
+    alpha, offset = (2.0 - 0.02) / 60.0, 0.02
+    table = tmp_path / "phases.csv"
+    table.write_text("l,phi_rad\n" + "".join(
+        f"{l},{math.asin(math.sin(2 * l * alpha + offset))!r}\n" for l in (1, 4, 10, 20, 30)))
+    out = tmp_path / "fit"
+    assert main(["fit", "--input", str(table), "--out", str(out)]) == 0
+    assert read_json(out / "fit.json")["alpha_hat_rad"] == pytest.approx(alpha, rel=1e-12)
+    # a readout on the fold itself cannot be placed: exit 2, naming its l
+    table.write_text(f"l,phi_rad\n1,0.5\n2,1.0\n3,{math.pi / 2.0!r}\n")
+    assert main(["fit", "--input", str(table), "--out", str(tmp_path / "fold")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric contract violation: the phase ") and "at l = 3 " in err
+    assert not (tmp_path / "fold" / "fit.json").exists()
+
+
 def test_fit_rejects_bad_header(tmp_path):
     table = tmp_path / "phases.csv"
     table.write_text("oam,phase\n1,0.1\n")

@@ -40,8 +40,16 @@ SPECTRUM_CONFIG = "configs/spectrum_l150.cfg"
 FIT_CONFIG = "configs/static_fit_six_l.cfg"
 
 
-def synth(l, alpha_rad, delta_phi=0.0, power=1e-3, noise=SILENT, rate=60e3, dur=0.1, seed=0):
-    return synthesize_record(l, alpha_rad, 0.0, delta_phi, power, noise, rate, dur, seed)
+def synth_config(l, alpha_rad, delta_phi=0.0, power=1e-3, noise=SILENT, rate=60e3, dur=0.1,
+                 seed=0, freq=0.0):
+    """A fit run over ``l`` and the next two OAM values, constant at ``freq`` = 0."""
+    return RunConfig("fit", (l, l + 1, l + 2), power, delta_phi, freq, alpha_rad, rate, dur, noise,
+                     seed)
+
+
+def synth(l, alpha_rad, *args, **kwargs):
+    """The record at ``l`` of ``synth_config(l, alpha_rad, ...)``."""
+    return synthesize_record(synth_config(l, alpha_rad, *args, **kwargs), l)
 
 
 def floor_scan(l_values, **changes):
@@ -74,19 +82,27 @@ def test_synthesis_static_ratio():
 
 
 def test_synthesis_record_length():
-    record = synthesize_record(150, 1e-8, 20e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
+    record = synth(150, 1e-8, freq=20e3)
     assert record.ch1.size == 6000 and record.ch2.size == 6000
     assert np.all(record.ch1 >= 0.0) and np.all(record.ch2 >= 0.0)
 
 
+# synthesize_record's rules are RunConfig's: the refusals below once came
+# from synthesize_record's own copies of them, and now come from the config
+# it is given, whichever way that config is made
+SYNTH = synth_config(1, 1e-8, freq=20e3)
+
+
 def test_synthesis_nyquist_guard():
-    with pytest.raises(ContractViolation, match="Nyquist"):
-        synthesize_record(1, 1e-8, 40e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
+    with pytest.raises(ConfigError, match="Nyquist") as info:
+        dataclasses.replace(SYNTH, signal_freq_hz=40e3)
+    assert info.value.keys == ("signal_freq_hz", "sample_rate")
 
 
 def test_synthesis_rejects_negative_frequency():
-    with pytest.raises(ConfigError, match="signal_freq_hz"):
-        synthesize_record(1, 1e-8, -20e3, 0.0, 1e-3, SILENT, 60e3, 0.1, seed=0)
+    with pytest.raises(ConfigError, match="signal_freq_hz") as info:
+        dataclasses.replace(SYNTH, signal_freq_hz=-20e3)
+    assert info.value.keys == ("signal_freq_hz",)
 
 
 @pytest.mark.parametrize(
@@ -94,15 +110,10 @@ def test_synthesis_rejects_negative_frequency():
     [(math.nan, 1e-3, "signal_freq_hz"), (20e3, math.nan, "power_w"), (20e3, math.inf, "power_w")],
 )
 def test_synthesis_refuses_what_the_run_config_keys_refuse(freq, power, key):
-    # the key ranges of RunConfig; unchecked, a NaN frequency synthesized a
-    # record of NaN phases
+    # unchecked, a NaN frequency synthesized a record of NaN phases
     with pytest.raises(ConfigError) as info:
-        synthesize_record(1, 1e-8, freq, 0.0, power, SILENT, 60e3, 0.1, seed=0)
+        dataclasses.replace(SYNTH, signal_freq_hz=freq, power_w=power)
     assert info.value.keys == (key,)
-
-
-SYNTH_ARGS = dict(l=1, signal_amp_rad=1e-8, signal_freq_hz=20e3, delta_phi=0.0, power_w=1e-3,
-                  noise=SILENT, sample_rate=60e3, duration=0.1, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -119,31 +130,51 @@ SYNTH_ARGS = dict(l=1, signal_amp_rad=1e-8, signal_freq_hz=20e3, delta_phi=0.0, 
     ],
 )
 def test_synthesis_refuses_each_argument_past_its_range(arg, key, past):
-    # NaN, +-inf and one step past each finite end of the argument's run-config
-    # rule; a NaN amplitude or an infinite offset once gave a record of NaNs,
-    # and a zero sample rate an empty one
+    # NaN, +-inf and one step past each finite end of the key's rule, for the
+    # value that synthesize_record once took as its argument ``arg``; a NaN
+    # amplitude or an infinite offset once gave a record of NaNs, and a zero
+    # sample rate an empty one
     for value in [math.nan, math.inf, -math.inf, *past]:
+        changes = {"l_values": (value, 2, 3)} if key == "l" else {key: value}
         with pytest.raises(ConfigError) as info:
-            synthesize_record(**{**SYNTH_ARGS, arg: value})
-        assert info.value.keys == (key,), value
+            dataclasses.replace(SYNTH, **changes)
+        assert info.value.keys == (key,), (arg, value)
 
 
 @pytest.mark.parametrize("rate, duration", [(1.0, 0.5), (1.0, MAX_RUN_SAMPLES + 1), (60e3, -1.0),
                                             (60e3, 1e300), (1e300, 1e300)])
 def test_synthesis_refuses_a_record_outside_the_sample_budget(rate, duration):
     # refused before anything is allocated: a duration of -1 or 1e300 once
-    # ended in numpy's own ValueError
+    # ended in numpy's own ValueError.  One spectrum record has the whole
+    # budget to itself
     with pytest.raises(ConfigError, match="samples") as info:
-        synthesize_record(**{**SYNTH_ARGS, "signal_freq_hz": 0.0, "sample_rate": rate,
-                             "duration": duration})
-    assert info.value.keys == ("sample_rate", "duration_s")
+        dataclasses.replace(SYNTH, mode="spectrum", l_values=(1,), signal_freq_hz=0.0,
+                            sample_rate=rate, duration_s=duration)
+    assert {"sample_rate", "duration_s"} <= set(info.value.keys)
 
 
 @pytest.mark.parametrize("duration, size", [(0.51, 1), (MAX_RUN_SAMPLES, MAX_RUN_SAMPLES)])
 def test_synthesis_runs_at_the_ends_of_the_sample_budget(duration, size):
-    record = synthesize_record(**{**SYNTH_ARGS, "signal_freq_hz": 0.0, "sample_rate": 1.0,
-                                  "duration": duration})
-    assert record.ch1.size == size
+    # a fit's three records share the budget, so only a spectrum's one record
+    # reaches its top; a spectrum takes at least MIN_SPECTRUM_SAMPLES, a fit 1
+    one = dict(mode="spectrum", l_values=(1,), band=(0.0, 0.5)) if size > 1 else {}
+    cfg = dataclasses.replace(SYNTH, signal_freq_hz=0.0, sample_rate=1.0, duration_s=duration,
+                              **one)
+    assert synthesize_record(cfg, 1).ch1.size == size
+
+
+@pytest.mark.parametrize("l", [4, 0, -1, 1.5, math.nan, 2**53 + 1])
+def test_synthesis_refuses_an_l_outside_the_config_before_drawing(monkeypatch, l):
+    # the one check synthesize_record keeps: its l must be one of the run's
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(emulator.np, "full", no_draw)
+    monkeypatch.setattr(emulator.np, "arange", no_draw)
+    cfg = dataclasses.replace(SYNTH, noise=NoiseSpec(phase_asd=1e-6, shot=1.0))
+    with pytest.raises(ConfigError, match="not one of the run's OAM values") as info:
+        synthesize_record(cfg, l)
+    assert info.value.keys == ("l",)
 
 
 def test_detector_record_length_contract():
@@ -192,7 +223,7 @@ def test_demodulation_flags_dead_samples():
 def test_round_trip_recovers_phase():
     l, delta_phi = 12, 0.05
     amp = 1.2 / (2 * l)  # peak |Phi| ~ 1.25 rad < pi/2
-    record = synthesize_record(l, amp, 200.0, delta_phi, 1e-3, SILENT, 60e3, 0.1, seed=0)
+    record = synth(l, amp, delta_phi, freq=200.0)
     phi, _ = demodulate_phase(record)
     t = record.times()
     expected = 2 * l * amp * np.sin(2 * np.pi * 200.0 * t) + delta_phi
@@ -236,12 +267,10 @@ def test_emulator_import_loads_no_importlib_resources():
 def test_fit_noisy_data_keeps_high_r_square():
     noise = calibrated_noise()
     alpha, offset = math.radians(0.99), math.radians(0.35)
+    cfg = RunConfig("fit", (1, 4, 7, 10, 20, 30), 1e-3, offset, 0.0, alpha, 60e3, 0.1, noise, 13)
     means = []
-    for i, l in enumerate((1, 4, 7, 10, 20, 30)):
-        record = synthesize_record(
-            l, alpha, 0.0, offset, 1e-3, noise, 60e3, 0.1, seed=13, stream_offset=8 * i
-        )
-        phi, _ = demodulate_phase(record)
+    for i, l in enumerate(cfg.l_values):
+        phi, _ = demodulate_phase(synthesize_record(cfg, l, stream_offset=8 * i))
         means.append((l, float(np.mean(phi))))
     fit = fit_oam_series(means)
     assert fit.r_square >= 0.999
@@ -264,6 +293,87 @@ def test_fit_refuses_a_non_finite_phase(measurements, entry):
     # a library caller's NaN or infinity would otherwise give an all-NaN fit
     with pytest.raises(ConfigError, match=re.escape(f"the phase of {entry} must be a finite")):
         fit_oam_series(measurements)
+
+
+def _readouts(l_values, alpha, offset):
+    """The noiseless arcsin readout of the phase 2*l*alpha + offset at each l."""
+    return [(l, math.asin(math.sin(2 * l * alpha + offset))) for l in l_values]
+
+
+def test_fit_recovers_the_rotation_past_the_fold():
+    # the shipped six l with the top phase at 2 rad, past pi/2: l = 30 reads
+    # pi - 2, and the plain line through the readouts gave 0.020400 for 0.033233
+    l_values, offset = (1, 4, 7, 10, 20, 30), 6e-3
+    alpha = (2.0 - offset) / 60.0
+    cfg = dataclasses.replace(parse_run_config(FIT_CONFIG), delta_phi_rad=offset,
+                              signal_amp_rad=alpha)
+    result = run_fit_pipeline(cfg)
+    assert result.phi_means[-1][1] == pytest.approx(math.pi - 2.0, abs=1e-12)
+    fit = fit_oam_series(result.phi_means)
+    assert fit.alpha_hat == pytest.approx(alpha, rel=1e-12)
+    assert fit.delta_phi_hat == pytest.approx(offset, abs=1e-12)
+    assert fit.r_square == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_config_refuses_a_fold_at_its_two_lowest_l():
+    # fit_oam_series takes the two lowest l as read: at l = 4 the phase 2.006
+    # would read pi - 2.006 and place every higher point on a wrong branch
+    with pytest.raises(ConfigError, match="not below pi/2") as info:
+        dataclasses.replace(parse_run_config(FIT_CONFIG), signal_amp_rad=0.25)
+    assert info.value.keys == ("l", "signal_amp_rad", "delta_phi_rad")
+    assert "at 'l' = 4 " in str(info.value)
+
+
+def test_fit_unfolds_a_ladder_of_either_sign():
+    # points are taken in order of |l|; at l = -30 and 30 the phase is -2.2
+    # and 2.6 rad, read as -(pi - 2.2) and pi - 2.6
+    alpha, offset = 0.04, 0.2
+    ladder = (30, -20, -30, 0, 1, -1, 4, -10, 20, 10)
+    fit = fit_oam_series(_readouts(ladder, alpha, offset))
+    assert fit.alpha_hat == pytest.approx(alpha, rel=1e-12)
+    assert fit.delta_phi_hat == pytest.approx(offset, abs=1e-12)
+
+
+def test_fit_takes_a_phase_outside_the_arcsin_range_as_given():
+    # no arcsin reads 2.5 rad: an unwrapped table's line stays the plain one
+    table = [(1, 0.5), (2, 1.0), (3, 1.5), (4, 2.0), (5, 2.5)]
+    fit = fit_oam_series(table)
+    assert (fit.alpha_hat, fit.delta_phi_hat) == pytest.approx((0.25, 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("table, l", [
+    # a readout exactly on the fold: both branches are pi/2
+    ([(1, 0.5), (2, 1.0), (3, math.pi / 2.0)], 3),
+    # the line through l = 1, 2, 3 predicts 1.0 +- 0.45 at l = 4, and the
+    # branches 1.5 and pi - 1.5 lie 0.5 and 0.64 from it
+    ([(1, 0.3), (2, 0.9), (3, 0.9), (4, 1.5)], 4),
+])
+def test_fit_refuses_a_branch_within_the_prediction_error(table, l):
+    with pytest.raises(ContractViolation, match=rf"at l = {l} lies on the arcsin fold"):
+        fit_oam_series(table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=2, max_size=2, unique=True),
+    st.lists(st.integers(13, 300), min_size=1, max_size=5, unique=True),
+    st.floats(-0.1, 0.1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_noiseless_fit_past_the_fold(low, high, delta_phi, share, sign):
+    # the two lowest l read their phases below pi/2, and the top phase
+    # reaches up to 3*pi; each phase keeps 1e-3 rad from the fold lines
+    # pi/2 + k*pi, where the arcsin readout loses its digits
+    below = (math.pi / 2.0 - 0.2) / (2.0 * max(low)) if max(low) else math.inf
+    alpha = sign * share * min(below, 3.0 * math.pi / (2.0 * max(high)))
+    l_values = tuple(sorted(low + high))
+    phases = [2.0 * l * alpha + delta_phi for l in l_values]
+    assume(all(abs(math.remainder(phase - math.pi / 2.0, math.pi)) >= 1e-3 for phase in phases))
+    cfg = dataclasses.replace(parse_run_config(FIT_CONFIG), l_values=l_values,
+                              delta_phi_rad=delta_phi, signal_amp_rad=alpha)
+    fit = fit_oam_series(run_fit_pipeline(cfg).phi_means)
+    assert fit.alpha_hat == pytest.approx(alpha, rel=1e-9, abs=1e-15)
 
 
 def test_fit_pipeline_of_overflowing_channels_refuses_its_fit():
@@ -416,7 +526,7 @@ def test_spectrum_peak_power_invariant():
     # demodulation is ratiometric: the absolute power level cancels
     peaks = []
     for power in (1e-4, 1e-2):
-        record = synthesize_record(50, 5.28e-8, 20e3, 0.0, power, SILENT, 60e3, 0.1, seed=0)
+        record = synth(50, 5.28e-8, power=power, freq=20e3)
         phi, _ = demodulate_phase(record)
         report = amplitude_spectrum(phi / 100.0, 60e3, (18e3, 28e3))
         peaks.append(report.signal_peak[1])
