@@ -99,7 +99,7 @@ class _OutDir:
 
     path: Path
     checksums: dict = dataclasses.field(default_factory=dict)
-    # _write_csv's texts of one-varying-column blocks, by the block's bits
+    # _write_csv's texts of one-varying-column blocks, by the block's bytes
     csv_texts: dict = dataclasses.field(default_factory=dict)
 
 
@@ -123,22 +123,20 @@ def _write_json(out: _OutDir, name: str, payload: dict, schema_name: str) -> Non
 
 
 def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
-    """Each cell as ``%.17g``, at the cost of the distinct values of a block.
+    """Each cell as ``%.17g``, with a block's constant columns formatted once.
 
-    The rows go ``_CSV_BLOCK_ROWS`` at a time, and values are told apart by
-    their bits, so -0.0 and 0.0 stay ``-0`` and ``0``.  A column whose bits
-    are constant over a block is formatted once, into the row itself.  When
-    one column alone varies, its texts are joined with the row's other
-    cells as the separator, and ``out.csv_texts`` keeps them for a later
-    block of the run with the same bits: the ``t`` of a fit run's CSVs, the
-    phis of a map's thetas.  Otherwise the block's rows are one ``%``
-    operation on the row repeated: a varying column with repeated values has
-    each distinct value formatted once and its cells looked up, and one whose
-    values are all distinct is formatted by that operation.  The lookup is a
-    dict, not ``np.unique``, whose sort kernels would add their pages to
-    every run's peak RSS.  Each block's own floats are checked for finiteness
-    and its rows appended to one buffer, hashed and written as it is: the
-    file's bytes are held once.
+    The rows go ``_CSV_BLOCK_ROWS`` at a time.  A column whose bytes over a
+    block are its first cell's repeated (so -0.0 and 0.0 stay ``-0`` and
+    ``0``; a numpy comparison adds its ufunc's code pages to a small map's
+    peak RSS) is formatted once, into the row itself.  When one column alone
+    varies, its texts are joined with the row's other cells as the
+    separator, and ``out.csv_texts`` keeps them, by those bytes, for a later
+    block of the run: the ``t`` of a fit run's CSVs, the phis of a map's
+    thetas.
+    Otherwise the block's rows are one ``%`` operation on the row repeated,
+    which formats every varying cell.  Each block's own floats are checked
+    for finiteness and its rows appended to one buffer, hashed and written
+    as it is: the file's bytes are held once.
     """
     data = bytearray(header.encode("ascii"))
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
@@ -147,24 +145,16 @@ def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
             block = np.asarray(column[start : start + _CSV_BLOCK_ROWS], dtype=float)
             if not np.isfinite(block).all():
                 raise ContractViolation(f"{name} would hold a non-finite value")
-            values = block.tolist()
-            bits = block.view(np.int64).tolist()
-            distinct = dict(zip(bits, values))
-            if len(distinct) == 1:  # constant over the block: one text, in the row
-                formats.append(b"%.17g" % values[0])
+            bits = block.tobytes()
+            if bits == bits[:8] * len(block):  # constant over the block: one text, in the row
+                formats.append(b"%.17g" % block[0])
                 continue
-            if len(distinct) < len(values):
-                text = {b: b"%.17g" % v for b, v in distinct.items()}
-                fields.append(map(text.__getitem__, bits))
-                formats.append(b"%s")
-            else:
-                fields.append(values)
-                formats.append(b"%.17g")
-            varying = k, block
+            formats.append(b"%.17g")
+            fields.append(block)
+            varying = k, bits
         if len(fields) == 1:  # so ``varying`` is this block's one varying column
-            k, block = varying
-            key = block.tobytes()
-            text = out.csv_texts.get(key) or b"\n".join(map(b"%.17g".__mod__, block.tolist()))
+            k, key = varying
+            text = out.csv_texts.get(key) or b"\n".join(map(b"%.17g".__mod__, fields[0].tolist()))
             if len(out.csv_texts) < _CSV_STORED_BLOCKS:
                 out.csv_texts[key] = text
             formats[k] = b"%s"
@@ -173,7 +163,7 @@ def _write_csv(out: _OutDir, name: str, header: str, columns) -> None:
             continue
         # the cells in row order, for the row repeated once per row
         rows = (b"\n" + b",".join(formats)) * len(block)
-        data += rows % tuple(chain.from_iterable(zip(*fields)))
+        data += rows % tuple(chain.from_iterable(zip(*map(np.ndarray.tolist, fields))))
     data += b"\n"  # the trailing newline
     _put(out, name, data)
 

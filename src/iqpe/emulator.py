@@ -134,16 +134,18 @@ class DetectorRecord:
     ch2: np.ndarray
 
     def __post_init__(self):
-        ch1 = np.array(self.ch1, dtype=float)
-        ch2 = np.array(self.ch2, dtype=float)
-        if ch1.ndim != 1 or ch1.shape != ch2.shape:
-            raise ContractViolation(
-                f"channels must be 1-d and of equal length, got {ch1.shape} and {ch2.shape}"
-            )
-        ch1.setflags(write=False)
-        ch2.setflags(write=False)
-        object.__setattr__(self, "ch1", ch1)
-        object.__setattr__(self, "ch2", ch2)
+        # synthesize_record's channels, read-only float64 arrays owning their
+        # data, are held as given; a list, or an array a caller may write, is copied
+        for name in ("ch1", "ch2"):
+            channel = getattr(self, name)
+            if not (isinstance(channel, np.ndarray) and channel.dtype == np.float64
+                    and channel.flags.owndata and not channel.flags.writeable):
+                channel = np.array(channel, dtype=float)
+                channel.setflags(write=False)
+                object.__setattr__(self, name, channel)
+        if self.ch1.ndim != 1 or self.ch1.shape != self.ch2.shape:
+            raise ContractViolation("channels must be 1-d and of equal length, got "
+                                    f"{self.ch1.shape} and {self.ch2.shape}")
 
     def times(self) -> np.ndarray:
         return np.arange(self.ch1.size) / self.sample_rate
@@ -211,7 +213,9 @@ def synthesize_record(cfg: RunConfig, l: int, stream_offset: int = 0) -> Detecto
         scale = noise.shot * math.sqrt(PHOTON_ENERGY_J * rate)
         p1 = p1 + standard_normals(seed, stream_offset + 1, n) * scale * np.sqrt(p1)
         p2 = p2 + standard_normals(seed, stream_offset + 2, n) * scale * np.sqrt(p2)
-    return DetectorRecord(rate, p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT)
+    ch1, ch2 = p1 * VOLTS_PER_WATT, p2 * VOLTS_PER_WATT
+    ch1.flags.writeable = ch2.flags.writeable = False  # so the record takes them uncopied
+    return DetectorRecord(rate, ch1, ch2)
 
 
 def demodulate_phase(record: DetectorRecord) -> PhaseSeries:

@@ -55,8 +55,9 @@ DELTA_PHI = Range(-math.pi, math.pi, "(]")
 # Photons per trial; the most is the top of the binomial kernel's int64 domain.
 NU = Range(1000, 2**63 - 1, integer=True)
 # The Monte Carlo holds one 8-byte estimate per trial: 80 MB at the top, where a
-# fresh `rotation-sim --nu 1000` stays within 96 MiB of a bare `import iqpe.cli`
-# (77.7 MiB above it, in 12 s, on Linux, numpy 2.4.6, one BLAS thread).
+# fresh `rotation-sim` stays within 96 MiB of a bare `import iqpe.cli` at
+# --nu 1000 (77.7 MiB above it, in 12 s) and at --nu 2^63 - 1 (78.1 MiB, in
+# 20 s), on Linux, numpy 2.4.6, one BLAS thread.
 TRIALS = Range(100, 10**7, integer=True)
 # One Philox key word: a larger seed would draw the streams of a smaller one.
 SEED = Range(0, 2**64 - 1, integer=True)
@@ -354,8 +355,9 @@ def monte_carlo_precision(
     ``trial_rng(seed, i).binomial`` draws, ``_BLOCK`` trials at a time, so
     results do not depend on evaluation order.  The estimate depends on the
     trial's count alone, so it is computed once per distinct count and that
-    same float is stored for every trial that drew the count.  An alpha that
-    ``angle_refusal`` refuses is refused.
+    same float is stored for every trial that drew the count; the counts seen
+    are forgotten past ``4 * _BLOCK``, as at nu near 2^63 nearly every trial
+    draws its own.  An alpha that ``angle_refusal`` refuses is refused.
     """
     TRIALS.check("trials", trials)
     NU.check("nu", nu)
@@ -367,6 +369,8 @@ def monte_carlo_precision(
     estimates = np.empty(trials)
     by_count: dict[int, float] = {}
     for start in range(0, trials, _BLOCK):
+        if len(by_count) > 4 * _BLOCK:
+            by_count.clear()
         streams = np.arange(start, min(start + _BLOCK, trials), dtype=np.uint64)
         counts = _binomial_counts(seed, streams, nu, p_l).tolist()
         for n_l in counts:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,35 @@ def test_detector_record_length_contract():
         DetectorRecord(60e3, np.zeros(10), np.zeros(11))
     with pytest.raises(ContractViolation, match="1-d"):
         DetectorRecord(60e3, np.zeros((2, 5)), np.zeros((2, 5)))
+
+
+def test_detector_record_holds_synthesized_channels_without_a_copy():
+    # the record took a copy of each channel, so a record of n samples peaked
+    # at 10 arrays of n floats (76.3 MiB at 10^6); the synthesis itself holds 8
+    cfg = parse_run_config(SPECTRUM_CONFIG)
+    n = 10**6
+    cfg = dataclasses.replace(cfg, duration_s=n / cfg.sample_rate)
+    tracemalloc.start()
+    try:
+        record = synthesize_record(cfg, 150)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.ch1.size == n
+    assert peak <= 9 * 8 * n
+
+
+def test_detector_record_copies_what_a_caller_may_write():
+    ch1, ch2 = np.arange(8) + 0.5, [0.5] * 8
+    frozen = np.arange(8) + 0.5
+    frozen.setflags(write=False)
+    view = frozen[::2]  # read-only, but its data belongs to ``frozen``
+    record = DetectorRecord(60e3, ch1, ch2)
+    ch1[0] = 7.0
+    assert record.ch1[0] == 0.5 and not record.ch1.flags.writeable
+    assert not record.ch2.flags.writeable
+    assert DetectorRecord(60e3, frozen, frozen).ch1 is frozen
+    assert DetectorRecord(60e3, view, view).ch1 is not view
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,22 @@ def test_monte_carlo_holds_one_estimate_per_trial():
     assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + 2**19
 
 
+def test_monte_carlo_memory_at_the_top_of_nu():
+    # at nu = 2^63 - 1 almost every trial draws its own count, so a cache of
+    # every count seen held 14 MB traced at 100k trials; the cache is cleared
+    # past 4 * _BLOCK counts, so at most one more block's counts join it,
+    # each an int, a float and a dict slot (about 100 bytes)
+    trials = 100_000
+    tracemalloc.start()
+    try:
+        monte_carlo_precision(RotationProtocol(1), 0.0995, protocol.NU.hi, trials, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cache = 128 * 5 * protocol._BLOCK
+    assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + cache + 2**19
+
+
 def test_trials_top_leaves_a_minority_interval():
     # trials * (1/2)^nu must stay under 2^-53 at the top of TRIALS, or the
     # minority-channel refusal has no phase to offer and prints lo > hi
