@@ -11,10 +11,11 @@ Covers the two estimation procedures compared throughout this package:
 
 The engine treats the time-independent linear encoding H(g) = g * V
 computationally, through V's spectrum: ``qfi_batch`` takes its eigenvalues
-and the states' amplitudes in its eigenbasis.  Commands hand it spectra
-known in closed form; only the single-probe functions take a dense V,
-through one ``herm_eig``.  The general time-ordered case enters only
-through the constant-eigenvalue upper-bound formulas.
+and the states' amplitudes in its eigenbasis.  No command calls it: the
+maps and the Kerr pair are closed forms, which the tests hold to it over
+spectra known in closed form.  Only the single-probe functions take a
+dense V, through one ``herm_eig``.  The general time-ordered case enters
+only through the constant-eigenvalue upper-bound formulas.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Three encodings are covered, each with its characteristic operator:
 
-* Kerr-type phase on a truncated Fock space (photon-number operator),
+* Kerr-type phase on a coherent probe (photon-number operator),
 * birefringent phase on the polarization sphere (first Stokes operator),
 * beam-profile rotation on the modal sphere of fixed-order transverse modes
   (orbital-angular-momentum operator).
@@ -11,7 +11,8 @@ The polarization sphere is the order-1 modal sphere, which S1 = 2 J1 reads
 along x as Lz = 2 J3 reads the order-N one along z.  Every state of either
 sphere map is an SU(2) coherent state, so both maps are the same two closed
 forms, written straight into their records; the engine that builds the
-states' weights is the tests' oracle, and no command runs it.
+states' weights is the tests' oracle, and no command runs it.  So is the
+coherent probe's truncated Fock space: the Kerr pair is closed forms too.
 
 Conventions fixed here and inherited everywhere else:
 
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qfi import qfi_batch
+# unused here, but bench/tracer.py wraps qfi's functions and exits 1 unless it is loaded
+from . import qfi  # noqa: F401
 from .statekit import (
     ContractViolation,
     HermitianOperator,
@@ -51,7 +53,6 @@ __all__ = [
     "hlg_state",
     "rotation_qfi_map",
     "kerr_qfi",
-    "coherent_state",
     "kerr_truncation",
     "lg_field",
     "field_rotation_check",
@@ -60,9 +61,10 @@ __all__ = [
 MAX_LADDER_ORDER = 300
 LADDER_ORDER = Range(0, MAX_LADDER_ORDER, integer=True)
 
-# Largest mean photon number of a coherent probe: its Fock space then holds
-# about a million levels.  A fresh `kerr --nbar 1e6` stays within 96 MiB of a
-# bare `import iqpe.cli` (77.7 MiB above it on Linux, numpy 2.4.6, one BLAS thread).
+# Largest mean photon number of a coherent probe: the truncation rule then
+# keeps about a million Fock levels, which only the tests' oracle builds.  A
+# fresh `kerr --nbar 1e6` stays within 4 MiB of a bare `import iqpe.cli`
+# (within 0.2 MiB of it on Linux, numpy 2.4.6, one BLAS thread).
 MAX_NBAR = 1e6
 NBAR = Range(0.0, MAX_NBAR)
 
@@ -299,7 +301,9 @@ def rotation_qfi_map(order_N: int, grid_resolution: int) -> np.ndarray:
 
 
 def kerr_truncation(nbar: float) -> int:
-    """Fock levels that hold a coherent probe of mean photon number nbar.
+    """Fock levels that hold a coherent probe of mean photon number nbar:
+    ``kerr.json``'s ``truncation``, and the support of the tests' Fock-space
+    oracle.
 
     The smallest T at which the Chernoff bound on the dropped tail,
     P(n >= T) <= e^-nbar (e nbar / T)^T, times T^2 is at most 2^-53 nbar.
@@ -316,34 +320,18 @@ def kerr_truncation(nbar: float) -> int:
     return size
 
 
-def coherent_state(nbar: float) -> PureState:
-    """Coherent state on the ``kerr_truncation(nbar)`` lowest Fock levels.
-
-    The amplitude phase is irrelevant for number statistics, so the
-    amplitudes are taken real and positive.
-    """
-    size = kerr_truncation(nbar)
-    # log-domain Poisson weights relative to the mode m = floor(nbar):
-    # log(p_k / p_m) sums log(nbar / j) over the levels j between them, so
-    # no term is near nbar * log(nbar) and no digits cancel
-    mode = math.floor(nbar)
-    steps = np.log(nbar / np.arange(1.0, size))  # log(p_j / p_(j-1)), j = 1..size-1
-    log_p = np.zeros(size)
-    log_p[mode + 1 :] = np.cumsum(steps[mode:])
-    log_p[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
-    return PureState.normalized(np.exp(0.5 * log_p))
-
-
 def kerr_qfi(nbar: float) -> tuple[float, float]:
     """QFI pair (standard, switched) for a Kerr-type phase on a coherent probe.
 
-    Expected values 4*nbar and 4*nbar^2 + 4*nbar, within 1e-12 relative
-    over the whole range [0, MAX_NBAR].
+    The generator is the photon number, Poisson-distributed with mean nbar
+    on a coherent state (Glauber, Phys. Rev. 131, 2766 (1963)), so the pair
+    is 4 Var n = 4 nbar and 4 <n^2> = 4 nbar^2 + 4 nbar.  Each is taken from
+    nbar's exact ratio p/q by one integer division, which rounds correctly:
+    no level of the Fock space is built, and -0.0 gives 0.0.
     """
-    probe = coherent_state(nbar)
-    # the Fock basis is the photon-number eigenbasis, with spectrum 0, 1, 2, ...
-    sqpe, iqpe = qfi_batch(probe.amplitudes[None, :], np.arange(probe.dim, dtype=float))
-    return float(sqpe[0]), float(iqpe[0])
+    NBAR.check("mean photon number", nbar)
+    p, q = float(nbar).as_integer_ratio()
+    return 4 * p / q, 4 * p * (p + q) / (q * q)
 
 
 def lg_field(p: int, l: int, grid_n: int, extent: float) -> LgFieldSample:

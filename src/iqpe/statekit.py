@@ -123,15 +123,6 @@ class PureState:
         return self.amplitudes.size
 
     @staticmethod
-    def normalized(values) -> "PureState":
-        """Build a state from an unnormalized amplitude vector."""
-        arr = np.asarray(values, dtype=np.complex128)
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ContractViolation("cannot normalize the zero vector")
-        return PureState(arr / norm)
-
-    @staticmethod
     def basis_vector(dim: int, index: int) -> "PureState":
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0

@@ -20,6 +20,9 @@ Each one reaches a quantity of the package by a second, independent road:
 * ``coherent_engine`` is the sphere maps' engine: the QFIs of SU(2)
   coherent states from their weights on the generator's eigenvectors, which
   the maps' closed forms are held to.
+* ``coherent_state`` is the Kerr probe on its ``kerr_truncation`` Fock
+  levels, and ``kerr_fock_qfi`` its QFI pair over the photon-number spectrum
+  0, 1, 2, ..., which ``kerr_qfi``'s closed forms are held to.
 
 Tensor-product convention: the first factor is the slow (outer) index.
 Joint meter+probe objects are built as ``tensor(meter, probe)``, so a block
@@ -36,7 +39,7 @@ import numpy as np
 
 from iqpe.protocol import RotationProtocol
 from iqpe.qfi import ParameterizedDynamics, qfi_batch
-from iqpe.scenarios import SpherePoint, modal_ladder
+from iqpe.scenarios import SpherePoint, kerr_truncation, modal_ladder
 from iqpe.statekit import (
     ContractViolation,
     HermitianOperator,
@@ -318,3 +321,35 @@ def coherent_engine(order_N: int, cos_half: np.ndarray, sin_half: np.ndarray):
     check_rounding("coherent state norm", np.max(np.abs(norms - 1.0)), order_N + 1)
     engine_s, engine_i = qfi_batch(rows, order_N - 2.0 * np.arange(order_N + 1))
     return engine_s.reshape(cos_half.shape), engine_i.reshape(cos_half.shape)
+
+
+# ---------------------------------------------------------------------------
+# the Kerr probe's Fock-space route
+# ---------------------------------------------------------------------------
+
+
+def coherent_state(nbar: float) -> PureState:
+    """Coherent state on the ``kerr_truncation(nbar)`` lowest Fock levels.
+
+    The amplitude phase is irrelevant for number statistics, so the
+    amplitudes are taken real and positive.
+    """
+    size = kerr_truncation(nbar)
+    # log-domain Poisson weights relative to the mode m = floor(nbar):
+    # log(p_k / p_m) sums log(nbar / j) over the levels j between them, so
+    # no term is near nbar * log(nbar) and no digits cancel
+    mode = math.floor(nbar)
+    steps = np.log(nbar / np.arange(1.0, size))  # log(p_j / p_(j-1)), j = 1..size-1
+    log_p = np.zeros(size)
+    log_p[mode + 1 :] = np.cumsum(steps[mode:])
+    log_p[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
+    amplitudes = np.exp(0.5 * log_p)  # the mode's is 1, so the norm is at least 1
+    return PureState(amplitudes / np.linalg.norm(amplitudes))
+
+
+def kerr_fock_qfi(nbar: float) -> tuple[float, float]:
+    """``kerr_qfi`` by the Fock space: ``qfi_batch`` over the photon-number
+    spectrum 0, 1, 2, ..., the Fock basis being its eigenbasis."""
+    probe = coherent_state(nbar)
+    sqpe, iqpe = qfi_batch(probe.amplitudes[None, :], np.arange(probe.dim, dtype=float))
+    return float(sqpe[0]), float(iqpe[0])

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpe import cli, emulator, protocol, scenarios
+from iqpe import cli, emulator, protocol, qfi, scenarios
 from iqpe.cli import build_parser, main
-from iqpe.statekit import FINITE, ContractViolation
+from iqpe.statekit import FINITE, ContractViolation, PureState
 
 REPO = Path(__file__).resolve().parent.parent
 FIT_CONFIG = "configs/static_fit_six_l.cfg"
@@ -87,17 +87,29 @@ def test_order_zero_map_counts_its_dead_zone(tmp_path):
     jsonschema.validate(summary, cli._schema("qfi_map_summary.v2.json"))
 
 
-@pytest.mark.parametrize("scenario", [["birefringence"], ["rotation", "--order-n", "300"]])
+@pytest.mark.parametrize("scenario", [
+    ["qfi-map", "--scenario", "birefringence", "--resolution", "8"],
+    ["qfi-map", "--scenario", "rotation", "--order-n", "300", "--resolution", "8"],
+    ["kerr", "--nbar", "1e6"],
+])
 def test_qfi_map_runs_its_closed_forms_alone(tmp_path, monkeypatch, scenario):
-    # the coherent-state engine, the map's only road to qfi_batch, is the
-    # tests' oracle: no map command calls the kernel
-    def refuse(*args):
-        raise AssertionError("qfi-map called qfi_batch")
+    # the coherent-state engine and the Fock-space probe, the maps' and
+    # kerr's roads to qfi_batch, are the tests' oracles: no scenario command
+    # builds a state or calls the kernel, through any module's binding of it
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{scenario[0]} built a state or called qfi_batch")
 
-    monkeypatch.setattr(scenarios, "qfi_batch", refuse)
-    out = tmp_path / "map"
-    assert main(["qfi-map", "--scenario", *scenario, "--resolution", "8", "--out", str(out)]) == 0
-    assert len((out / "map.csv").read_text().splitlines()) == 1 + 8 * 16
+    for name, module in list(sys.modules.items()):
+        if name == "iqpe" or name.startswith("iqpe."):
+            for key, value in list(vars(module).items()):
+                if value is qfi.qfi_batch:
+                    monkeypatch.setattr(module, key, refuse)
+    monkeypatch.setattr(PureState, "__post_init__", refuse)
+    out = tmp_path / "run"
+    assert main([*scenario, "--out", str(out)]) == 0
+    checksums = read_json(out / "manifest.json")["artifact_checksums"]
+    artifacts = {"kerr.json"} if scenario[0] == "kerr" else {"map.csv", "summary.json"}
+    assert set(checksums) == artifacts
 
 
 def test_qfi_map_birefringence_flat(tmp_path):
@@ -145,6 +157,16 @@ def test_kerr_vacuum_is_exact(tmp_path):
     assert main(["kerr", "--nbar", "0", "--out", str(out)]) == 0
     payload = read_json(out / "kerr.json")
     assert (payload["qfi_sqpe"], payload["qfi_iqpe"], payload["truncation"]) == (0.0, 0.0, 1)
+
+
+def test_kerr_negative_zero_reads_zero_qfis(tmp_path):
+    # nbar keeps its sign as given, but the QFIs of a vacuum probe are 0.0:
+    # 4.0 * nbar would write "qfi_sqpe": -0.0
+    out = tmp_path / "kerr"
+    assert main(["kerr", "--nbar", "-0", "--out", str(out)]) == 0
+    assert (out / "kerr.json").read_bytes() == (
+        b'{\n  "nbar": -0.0,\n  "qfi_iqpe": 0.0,\n  "qfi_sqpe": 0.0,\n  "truncation": 1\n}\n'
+    )
 
 
 @pytest.mark.parametrize("nbar", [3000.0, 6000.0])
@@ -480,7 +502,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_kerr_loads_no_scipy(tmp_path):
-    # the Poisson weights are cumulative sums of numpy logs, not scipy.special
+    # the QFIs are integer closed forms and the truncation a loop of math
+    # logs: neither reaches for scipy.special
     argv = ["kerr", "--nbar", "99.27", "--out", str(tmp_path / "kerr")]
     code = f"import iqpe.cli; assert iqpe.cli.main({argv!r}) == 0"
     assert scipy_modules_after(code) == "[]"
@@ -813,7 +836,7 @@ RANGED_FLAGS = {
     # holds 2 * 1024^2 points
     "resolution": (["qfi-map", "--scenario", "birefringence"], "--resolution",
                    scenarios.RESOLUTION, False, scenarios._grid_axes),
-    "nbar": (["kerr"], "--nbar", scenarios.NBAR, False, scenarios.kerr_truncation),
+    "nbar": (["kerr"], "--nbar", scenarios.NBAR, False, scenarios.kerr_qfi),
     "l": (_SIM, "--l", protocol.OAM_L, False, protocol.RotationProtocol),
     "alpha-deg": (_SIM, "--alpha-deg", FINITE, True, lambda alpha: FINITE.check("alpha", alpha)),
     "delta-phi-deg": (_SIM, "--delta-phi-deg", protocol.DELTA_PHI, True,

@@ -16,9 +16,10 @@ from iqpe.qfi import (
     qfi_upper_bounds,
     sqpe_qfi,
 )
-from iqpe.scenarios import coherent_state, modal_ladder
+from iqpe.scenarios import modal_ladder
 from iqpe.statekit import ContractViolation, HermitianOperator, PureState, herm_eig, variance
 from oracles import (
+    coherent_state,
     expectation,
     iqpe_generator,
     iqpe_qfi_general,

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from iqpe.scenarios import (
     ModalLadder,
     SpherePoint,
     birefringence_qfi_map,
-    coherent_state,
     field_rotation_check,
     hlg_state,
     kerr_qfi,
@@ -26,8 +26,10 @@ from iqpe.scenarios import (
 )
 from iqpe.statekit import ContractViolation, herm_eig, variance
 from oracles import (
+    coherent_state,
     expectation,
     iqpe_state_family,
+    kerr_fock_qfi,
     polarization_state,
     qfi_dense,
     qfi_numeric,
@@ -473,11 +475,11 @@ def test_kerr_closed_forms(nbar, expected):
 
 
 def test_kerr_large_nbar():
-    # the number operator is a vector of eigenvalues, so a 1312-dimensional
-    # Fock space costs O(truncation) memory
+    # the oracle's number operator is a vector of eigenvalues, so a
+    # 1312-dimensional Fock space costs O(truncation) memory
     nbar = 1000.0
     assert scenarios.kerr_truncation(nbar) == 1312
-    qfi_sqpe, qfi_iqpe = kerr_qfi(nbar)
+    qfi_sqpe, qfi_iqpe = kerr_fock_qfi(nbar)
     assert qfi_sqpe == pytest.approx(4.0 * nbar, rel=1e-12)
     assert qfi_iqpe == pytest.approx(4.0 * nbar * nbar + 4.0 * nbar, rel=1e-12)
 
@@ -492,9 +494,36 @@ def test_kerr_large_nbar():
 @example(nbar=3e5)
 @example(nbar=1e6)
 def test_kerr_closed_forms_over_range(nbar):
-    qfi_sqpe, qfi_iqpe = kerr_qfi(nbar)
-    assert qfi_sqpe == pytest.approx(4.0 * nbar, rel=1e-12)
-    assert qfi_iqpe == pytest.approx(4.0 * nbar * nbar + 4.0 * nbar, rel=1e-12)
+    # the Fock-space route, on the levels the truncation rule keeps, meets
+    # the closed forms: the rule's dropped tail stays at rounding level
+    closed_sqpe, closed_iqpe = kerr_qfi(nbar)
+    qfi_sqpe, qfi_iqpe = kerr_fock_qfi(nbar)
+    assert qfi_sqpe == pytest.approx(closed_sqpe, rel=1e-12)
+    assert qfi_iqpe == pytest.approx(closed_iqpe, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nbar=st.floats(0.0, scenarios.MAX_NBAR))
+@example(nbar=-0.0)
+@example(nbar=5e-324)
+@example(nbar=scenarios.MAX_NBAR)
+def test_kerr_qfi_is_correctly_rounded(nbar):
+    # float.hex tells -0.0 from 0.0: a vacuum probe reads 0.0 either way
+    exact = Fraction(nbar)
+    want = (float(4 * exact), float(4 * exact * (exact + 1)))
+    assert [x.hex() for x in kerr_qfi(nbar)] == [x.hex() for x in want]
+
+
+def test_kerr_qfi_builds_no_fock_space():
+    # the closed forms allocate no array: at the top the Fock route traced
+    # 70.3 MiB for its million levels
+    tracemalloc.start()
+    try:
+        kerr_qfi(scenarios.MAX_NBAR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
 
 
 def log_dropped_tail_bound(nbar, levels):

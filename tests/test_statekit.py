@@ -22,7 +22,7 @@ from iqpe.statekit import (
     herm_eig,
     variance,
 )
-from oracles import expectation, number_operator, tensor
+from oracles import coherent_state, expectation, number_operator, tensor
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -140,8 +140,6 @@ def test_variance_s1_on_circular_state():
 
 
 def test_variance_number_operator_coherent():
-    from iqpe.scenarios import coherent_state
-
     state = coherent_state(4.0)
     assert variance(number_operator(state.dim), state) == pytest.approx(4.0, abs=1e-6)
 
