@@ -24,12 +24,14 @@ over the trials still drawing, one buffer of many streams at a time.  numpy
 takes BTPE when the less likely channel's mean p*nu exceeds 30; the
 minority-channel rule admits only p >= ``minority_floor``, and
 nu*minority_floor > 53*ln(2) - (53*ln(2))^2/(2*nu) >= 36.07 at every nu in
-``NU``, so every admitted draw is in BTPE's domain.
+``NU``, so every admitted draw is in BTPE's domain.  No trial's estimate is
+kept: the Monte Carlo's moments are exact sums over a histogram of counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,10 +56,8 @@ OAM_L = Range(1, 2**53, integer=True)
 DELTA_PHI = Range(-math.pi, math.pi, "(]")
 # Photons per trial; the most is the top of the binomial kernel's int64 domain.
 NU = Range(1000, 2**63 - 1, integer=True)
-# The Monte Carlo holds one 8-byte estimate per trial: 80 MB at the top, where a
-# fresh `rotation-sim` stays within 96 MiB of a bare `import iqpe.cli` at
-# --nu 1000 (77.7 MiB above it, in 12 s) and at --nu 2^63 - 1 (78.1 MiB, in
-# 20 s), on Linux, numpy 2.4.6, one BLAS thread.
+# A time budget, as no trial's estimate is held: a fresh `rotation-sim` at the top
+# takes 15 s at --nu 1000 and 34 s at --nu 2^63 - 1 (2 vCPUs, numpy 2.4.6, 1 BLAS thread).
 TRIALS = Range(100, 10**7, integer=True)
 # One Philox key word: a larger seed would draw the streams of a smaller one.
 SEED = Range(0, 2**64 - 1, integer=True)
@@ -350,14 +350,13 @@ def monte_carlo_precision(
 ) -> tuple[float, float]:
     """Sampled estimator mean and standard deviation at a true rotation angle.
 
-    Each trial splits nu photons binomially between the two channels and
-    applies estimate_alpha.  Trial i draws the count that
-    ``trial_rng(seed, i).binomial`` draws, ``_BLOCK`` trials at a time, so
-    results do not depend on evaluation order.  The estimate depends on the
-    trial's count alone, so it is computed once per distinct count and that
-    same float is stored for every trial that drew the count; the counts seen
-    are forgotten past ``4 * _BLOCK``, as at nu near 2^63 nearly every trial
-    draws its own.  An alpha that ``angle_refusal`` refuses is refused.
+    Trial i splits nu photons between the two channels with the count that
+    ``trial_rng(seed, i).binomial`` draws, ``_BLOCK`` trials at a time, and
+    applies estimate_alpha.  A count -> multiplicity histogram is folded past
+    ``4 * _BLOCK`` counts and at the end into exact integer sums of the
+    estimates and their squares on a shared grid of 2^-scale, so the mean and
+    the sample variance (ddof=1) are each rounded once; the spread is the
+    variance's square root.  An alpha that ``angle_refusal`` refuses is refused.
     """
     TRIALS.check("trials", trials)
     NU.check("nu", nu)
@@ -366,20 +365,18 @@ def monte_carlo_precision(
     if refusal is not None:
         raise ContractViolation(f"alpha={alpha_true} {refusal}")
     p_l, _ = projection_probabilities(proto, alpha_true)
-    estimates = np.empty(trials)
-    by_count: dict[int, float] = {}
+    counts, total, squares, scale = Counter(), 0, 0, 0
     for start in range(0, trials, _BLOCK):
-        if len(by_count) > 4 * _BLOCK:
-            by_count.clear()
         streams = np.arange(start, min(start + _BLOCK, trials), dtype=np.uint64)
-        counts = _binomial_counts(seed, streams, nu, p_l).tolist()
-        for n_l in counts:
-            if n_l not in by_count:
-                by_count[n_l] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
-        estimates[start:start + streams.size] = [by_count[n_l] for n_l in counts]
-    # np.mean and np.std(ddof=1) as numpy computes them, with the deviations
-    # squared in place of the estimates instead of in a second trials-long array
-    mean = np.add.reduce(estimates) / trials
-    estimates -= mean
-    estimates *= estimates
-    return float(mean), float(np.sqrt(np.add.reduce(estimates) / (trials - 1)))
+        counts.update(_binomial_counts(seed, streams, nu, p_l).tolist())
+        if len(counts) > 4 * _BLOCK or start + _BLOCK >= trials:
+            for n_l, times in counts.items():
+                num, den = estimate_alpha(ShotRecord(n_l, nu - n_l), proto).as_integer_ratio()
+                if (bits := den.bit_length() - 1) > scale:  # a finer grid: shift the sums onto it
+                    total, squares = total << bits - scale, squares << 2 * (bits - scale)
+                    scale = bits
+                num <<= scale - bits
+                total, squares = total + times * num, squares + times * num * num
+            counts.clear()
+    variance = (trials * squares - total * total) / (trials * (trials - 1) << 2 * scale)
+    return total / (trials << scale), math.sqrt(variance)

@@ -314,7 +314,10 @@ def kerr_truncation(nbar: float) -> int:
     if nbar == 0.0:
         return 1
     limit = math.log(nbar) - 53.0 * math.log(2.0)
-    size = math.floor(nbar) + 1  # the bound holds only above the mean
+    # the bound holds only above the mean, where (1+u)ln(1+u) - u <= u^2/2 and 2 ln T
+    # >= 2 ln nbar: no T nearer nbar than sqrt(2 nbar (ln nbar + 53 ln 2)) meets it
+    reach = math.sqrt(max(2.0 * nbar * (math.log(nbar) + 53.0 * math.log(2.0)), 0.0))
+    size = max(math.floor(nbar) + 1, math.floor(nbar + reach) - 1)
     while size * math.log(math.e * nbar / size) - nbar + 2.0 * math.log(size) > limit:
         size += 1
     return size

@@ -22,7 +22,9 @@ Each one reaches a quantity of the package by a second, independent road:
   the maps' closed forms are held to.
 * ``coherent_state`` is the Kerr probe on its ``kerr_truncation`` Fock
   levels, and ``kerr_fock_qfi`` its QFI pair over the photon-number spectrum
-  0, 1, 2, ..., which ``kerr_qfi``'s closed forms are held to.
+  0, 1, 2, ..., which ``kerr_qfi``'s closed forms are held to;
+  ``kerr_truncation_scan`` finds ``kerr_truncation``'s T by counting up
+  from the mean one level at a time.
 
 Tensor-product convention: the first factor is the slow (outer) index.
 Joint meter+probe objects are built as ``tensor(meter, probe)``, so a block
@@ -353,3 +355,15 @@ def kerr_fock_qfi(nbar: float) -> tuple[float, float]:
     probe = coherent_state(nbar)
     sqpe, iqpe = qfi_batch(probe.amplitudes[None, :], np.arange(probe.dim, dtype=float))
     return float(sqpe[0]), float(iqpe[0])
+
+
+def kerr_truncation_scan(nbar: float) -> int:
+    """``kerr_truncation`` by a linear scan: the first T above the mean at
+    which T^2 e^-nbar (e nbar / T)^T is at most 2^-53 nbar."""
+    if nbar == 0.0:
+        return 1
+    limit = math.log(nbar) - 53.0 * math.log(2.0)
+    size = math.floor(nbar) + 1
+    while size * math.log(math.e * nbar / size) - nbar + 2.0 * math.log(size) > limit:
+        size += 1
+    return size

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -466,46 +467,22 @@ def test_kernel_log_is_libm():
     assert got[0] == -math.inf and math.isnan(got[1])
 
 
-def test_monte_carlo_memory_grows_with_the_block_not_the_trials():
-    # the kernel's arrays are _BLOCK trials long; only the 8-byte estimates
-    # span every trial (drawing all 25k trials at once peaked at 4.6 MB)
-    trials = 25_000
-    tracemalloc.start()
-    try:
-        monte_carlo_precision(RotationProtocol(150), 1e-5, 10**6, trials, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + 2**19
-
-
-def test_monte_carlo_holds_one_estimate_per_trial():
-    # TRIALS budgets one 8-byte estimate per trial: the spread is squared in
-    # place, where np.std held a second trials-long array (3.6 MB traced at 200k)
-    trials = 200_000
-    tracemalloc.start()
-    try:
-        monte_carlo_precision(RotationProtocol(150), 1e-5, 10**6, trials, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + 2**19
-
-
-def test_monte_carlo_memory_at_the_top_of_nu():
-    # at nu = 2^63 - 1 almost every trial draws its own count, so a cache of
-    # every count seen held 14 MB traced at 100k trials; the cache is cleared
-    # past 4 * _BLOCK counts, so at most one more block's counts join it,
-    # each an int, a float and a dict slot (about 100 bytes)
-    trials = 100_000
-    tracemalloc.start()
-    try:
-        monte_carlo_precision(RotationProtocol(1), 0.0995, protocol.NU.hi, trials, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    cache = 128 * 5 * protocol._BLOCK
-    assert peak <= 8 * trials + 40 * 8 * protocol._BLOCK + cache + 2**19
+def test_monte_carlo_memory_holds_no_trial():
+    # the kernel's arrays are _BLOCK trials long and the count histogram is
+    # folded into the sums past 4 * _BLOCK counts, so it holds at most
+    # 5 * _BLOCK counts, each an int and a dict slot (about 100 bytes); at
+    # nu = 2^63 - 1 nearly every trial draws a count of its own.  One 8-byte
+    # estimate per trial traced 8.7 MB at 10^6 trials.
+    bound = 40 * 8 * protocol._BLOCK + 128 * 5 * protocol._BLOCK + 2**19
+    runs = [(150, 1e-5, 10**6, 10**5), (150, 1e-5, 10**6, 10**6), (1, 0.0995, protocol.NU.hi, 25_000)]
+    for l, alpha, nu, trials in runs:
+        tracemalloc.start()
+        try:
+            monte_carlo_precision(RotationProtocol(l), alpha, nu, trials, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (nu, trials, peak)
 
 
 def test_trials_top_leaves_a_minority_interval():
@@ -517,13 +494,16 @@ def test_trials_top_leaves_a_minority_interval():
 
 
 def monte_carlo_oracle(proto, alpha, nu, trials, seed):
-    """The Monte Carlo with a fresh generator and an estimate for every trial."""
+    """The Monte Carlo with a fresh generator for every trial, and the exact
+    sample mean and variance of its estimates, each rounded once."""
     p_l, _ = projection_probabilities(proto, alpha)
-    estimates = np.empty(trials)
+    estimates = []
     for i in range(trials):
         n_l = int(trial_rng(seed, i).binomial(nu, p_l))
-        estimates[i] = estimate_alpha(ShotRecord(n_l, nu - n_l), proto)
-    return float(np.mean(estimates)), float(np.std(estimates, ddof=1))
+        estimates.append(Fraction(estimate_alpha(ShotRecord(n_l, nu - n_l), proto)))
+    mean = sum(estimates) / trials
+    variance = sum((x - mean) ** 2 for x in estimates) / (trials - 1)
+    return float(mean), math.sqrt(float(variance))
 
 
 @pytest.mark.parametrize("trials", [100, 2000])
@@ -532,9 +512,22 @@ def monte_carlo_oracle(proto, alpha, nu, trials, seed):
 @pytest.mark.parametrize("l", [1, 17, 150])
 @pytest.mark.parametrize("seed", [0, 21, 2**63 + 5, 2**64 - 1])
 def test_monte_carlo_matches_per_trial_oracle(seed, l, delta_phi, nu, trials):
-    # one re-keyed generator and one estimate per distinct count must give
-    # the bits of a fresh generator and an estimate per trial
+    # one re-keyed generator per block and one estimate per distinct count
+    # must give a fresh generator per trial, and moments over the histogram
+    # the exact moments of every trial's estimate
     proto = RotationProtocol(l, delta_phi)
     alpha = (0.3 - delta_phi) / (2.0 * l)  # total phase 0.3 rad
     expected = monte_carlo_oracle(proto, alpha, nu, trials, seed)
     assert monte_carlo_precision(proto, alpha, nu, trials, seed) == expected
+
+
+def test_monte_carlo_matches_oracle_past_a_fold():
+    # at nu = 2^63 - 1 and phase 0 nearly every trial draws its own count and
+    # the estimates span many binades, so the histogram is folded into the
+    # sums mid-run and their shared power of two moves
+    proto, nu, trials, seed = RotationProtocol(1), protocol.NU.hi, 12_000, 7
+    p_l, _ = projection_probabilities(proto, 0.0)
+    streams = np.arange(trials, dtype=np.uint64)
+    assert len(set(protocol._binomial_counts(seed, streams, nu, p_l).tolist())) > 5 * protocol._BLOCK
+    expected = monte_carlo_oracle(proto, 0.0, nu, trials, seed)
+    assert monte_carlo_precision(proto, 0.0, nu, trials, seed) == expected

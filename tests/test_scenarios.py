@@ -30,6 +30,7 @@ from oracles import (
     expectation,
     iqpe_state_family,
     kerr_fock_qfi,
+    kerr_truncation_scan,
     polarization_state,
     qfi_dense,
     qfi_numeric,
@@ -543,6 +544,15 @@ def test_kerr_truncation_is_smallest_that_bounds_the_tail(nbar):
     assert levels - 1 > nbar
     assert log_dropped_tail_bound(nbar, levels) <= -53.0 * math.log(2.0)
     assert log_dropped_tail_bound(nbar, levels - 1) > -53.0 * math.log(2.0)
+
+
+def test_kerr_truncation_meets_the_linear_scan():
+    # the count starts past the mean by the bound's least reach; over a
+    # log-uniform sweep and near the bound's edges, no T moves
+    sweep = [*(10.0 ** np.linspace(-12.0, 6.0, 2001)).tolist(), 5e-324, 2.0**-53,
+             math.nextafter(2.0**-53, 0.0), 0.5, 1.0, 999_999.5]
+    for nbar in sweep:
+        assert scenarios.kerr_truncation(nbar) == kerr_truncation_scan(nbar), nbar
 
 
 @pytest.mark.parametrize(
