@@ -467,22 +467,45 @@ def test_kernel_log_is_libm():
     assert got[0] == -math.inf and math.isnan(got[1])
 
 
-def test_monte_carlo_memory_holds_no_trial():
-    # the kernel's arrays are _BLOCK trials long and the count histogram is
-    # folded into the sums past 4 * _BLOCK counts, so it holds at most
-    # 5 * _BLOCK counts, each an int and a dict slot (about 100 bytes); at
-    # nu = 2^63 - 1 nearly every trial draws a count of its own.  One 8-byte
-    # estimate per trial traced 8.7 MB at 10^6 trials.
-    bound = 40 * 8 * protocol._BLOCK + 128 * 5 * protocol._BLOCK + 2**19
-    runs = [(150, 1e-5, 10**6, 10**5), (150, 1e-5, 10**6, 10**6), (1, 0.0995, protocol.NU.hi, 25_000)]
-    for l, alpha, nu, trials in runs:
-        tracemalloc.start()
-        try:
-            monte_carlo_precision(RotationProtocol(l), alpha, nu, trials, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, (nu, trials, peak)
+def traced_peak(l, alpha, nu, trials, seed):
+    tracemalloc.start()
+    try:
+        monte_carlo_precision(RotationProtocol(l), alpha, nu, trials, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# the kernel's arrays are _BLOCK trials long and the count histogram is folded
+# into the sums past 4 * _BLOCK counts, so it holds at most 5 * _BLOCK counts,
+# each an int and a dict slot (about 100 bytes); no term grows with the trials
+_MONTE_CARLO_PEAK = 40 * 8 * protocol._BLOCK + 128 * 5 * protocol._BLOCK + 2**19
+
+
+def test_monte_carlo_memory_grows_with_the_block_not_the_trials():
+    # drawing all 25k trials at once peaked at 4.6 MB; forty times the trials
+    # must meet the same bound
+    for trials in (25_000, 10**6):
+        peak = traced_peak(150, 1e-5, 10**6, trials, seed=3)
+        assert peak <= _MONTE_CARLO_PEAK, (trials, peak)
+
+
+def test_monte_carlo_holds_one_estimate_per_trial():
+    # not even one: an 8-byte estimate per trial traced 1.6 MB at 200k, and
+    # np.std's second trials-long array 3.6 MB; the moments come from the
+    # count histogram, so the bound has no per-trial term
+    peak = traced_peak(150, 1e-5, 10**6, 200_000, seed=3)
+    assert peak <= _MONTE_CARLO_PEAK, peak
+
+
+def test_monte_carlo_memory_at_the_top_of_nu():
+    # at nu = 2^63 - 1 almost every trial draws its own count, so a histogram
+    # of every count seen would hold 100 bytes a trial (a cache of every
+    # count's estimate held 14 MB traced at 100k trials); the fold keeps it
+    # to 5 * _BLOCK counts
+    peak = traced_peak(1, 0.0995, protocol.NU.hi, 100_000, seed=1)
+    assert peak <= _MONTE_CARLO_PEAK, peak
 
 
 def test_trials_top_leaves_a_minority_interval():
